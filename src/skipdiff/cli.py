@@ -16,14 +16,14 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .data import (SentencePair, Vocab, build_vocab, generate_synthetic,
-                   load_jsonl, load_jsonl_sources, save_jsonl,
-                   synthetic_vocab, tokenize)
+                   load_jsonl, load_jsonl_fields, save_jsonl, synthetic_vocab)
 from .errors import ConfigError, ContractError, JsonlParseError, ParameterError, \
     ShapeError, TruncationError
 from .exploiter import ExploiterConfig
 from .metrics import (bleu, evaluate_corpus, mean_rank, rank_table_csv)
 from .rng import RngStream
-from .runconfig import DEFAULTS, format_resolved, parse_config_file, resolve
+from .runconfig import (DEFAULTS, format_resolved, parse_config_file,
+                        parse_setting, resolve)
 from .schedule import build_sqrt_schedule, schedule_to_csv
 from .scheduler import SchedulerConfig, sample_instructions_batch
 from .training import TrainConfig, meta_train, plug_and_play_generate
@@ -104,36 +104,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-_FLAG_KEYS = {
-    "seed": "seed", "threads": "threads", "task": "task", "T": "T",
-    "steps": "gen_steps", "mbr": "mbr", "epochs": "epochs",
-    "max_steps": "max_steps", "data": "data", "val_data": "val_data",
-}
-
-
 def _flag_overrides(args) -> dict:
-    overrides: dict = {}
-    for flag, key in _FLAG_KEYS.items():
-        value = getattr(args, flag.replace("-", "_"), None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "fixed_sqrt", False):
-        overrides["fixed_sqrt"] = True
-    for pair in getattr(args, "set", None) or []:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        default = DEFAULTS[key]
-        if isinstance(default, bool):
-            overrides[key] = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(default, int):
-            overrides[key] = int(raw)
-        elif isinstance(default, float):
-            overrides[key] = float(raw)
-        else:
-            overrides[key] = raw
+    """Train flags given on the command line (each flag's dest is its config
+    key), then the ``--set`` settings."""
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in DEFAULTS and value is not None}
+    for text in args.set or []:
+        key, value = parse_setting(text, "--set")
+        overrides[key] = value
     return overrides
 
 
@@ -144,7 +122,7 @@ def _join(tokens: list[str]) -> str:
 
 
 def cmd_generate(args) -> int:
-    srcs = load_jsonl_sources(args.src, args.tokenizer)
+    [srcs] = load_jsonl_fields(args.src, ("src",), args.tokenizer)
     rng = RngStream(args.seed)
     picks, candidates = plug_and_play_generate(
         args.scheduler, args.exploiter, srcs, rng, mbr_size=args.mbr,
@@ -158,22 +136,6 @@ def cmd_generate(args) -> int:
 
 
 # -- evaluation -----------------------------------------------------------
-
-def _load_field(path, field: str, tokenizer: str) -> list[list[str]]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            for candidate in (field, "trg", "ref", "gen"):
-                if candidate in obj:
-                    rows.append(tokenize(obj[candidate], tokenizer))
-                    break
-            else:
-                raise JsonlParseError(lineno, f"no usable field (wanted {field!r})")
-    return rows
-
 
 def _load_systems_csv(path) -> dict[str, dict[str, float]]:
     table: dict[str, dict[str, float]] = {}
@@ -199,8 +161,8 @@ def cmd_evaluate(args) -> int:
         if args.rank_csv:
             _write_text(args.rank_csv, rank_table_csv(table))
         return 0
-    gens = _load_field(args.gen, "gen", args.tokenizer)
-    refs = _load_field(args.ref, "trg", args.tokenizer)
+    [gens] = load_jsonl_fields(args.gen, ("gen",), args.tokenizer)
+    [refs] = load_jsonl_fields(args.ref, ("trg",), args.tokenizer)
     if len(gens) != len(refs):
         raise ConfigError(f"{len(gens)} generations vs {len(refs)} references")
     report = evaluate_corpus(gens, refs)
@@ -223,14 +185,12 @@ def _greedy_schedules(ckpt_path, srcs):
 
 
 def cmd_analyze_difficulty(args) -> int:
-    with open(args.gen, encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
-    srcs = [tokenize(r["src"], args.tokenizer) for r in rows]
-    gens = [tokenize(r["gen"], args.tokenizer) for r in rows]
     if args.ref:
-        refs = _load_field(args.ref, "trg", args.tokenizer)
+        srcs, gens = load_jsonl_fields(args.gen, ("src", "gen"), args.tokenizer)
+        [refs] = load_jsonl_fields(args.ref, ("trg",), args.tokenizer)
     else:
-        refs = [tokenize(r["ref"], args.tokenizer) for r in rows]
+        srcs, gens, refs = load_jsonl_fields(args.gen, ("src", "gen", "ref"),
+                                             args.tokenizer)
     if len(refs) != len(gens):
         raise ConfigError(f"{len(gens)} generations vs {len(refs)} references")
     if args.k > len(gens) // 2:
@@ -259,7 +219,7 @@ def cmd_analyze_difficulty(args) -> int:
 # -- plug and play ----------------------------------------------------------
 
 def cmd_plug_and_play(args) -> int:
-    srcs = load_jsonl_sources(args.src, args.tokenizer)
+    [srcs] = load_jsonl_fields(args.src, ("src",), args.tokenizer)
     picks, candidates = plug_and_play_generate(
         args.scheduler, args.exploiter, srcs, RngStream(args.seed),
         mbr_size=args.mbr, gen_steps=args.steps)
@@ -272,7 +232,7 @@ def cmd_plug_and_play(args) -> int:
         mbr_size=args.mbr, gen_steps=args.steps, fixed_sqrt=True)
     report: dict = {"outputs": args.out, "sources": len(srcs)}
     if args.ref:
-        refs = _load_field(args.ref, "trg", args.tokenizer)
+        [refs] = load_jsonl_fields(args.ref, ("trg",), args.tokenizer)
         if len(refs) != len(srcs):
             raise ConfigError(f"{len(srcs)} sources vs {len(refs)} references")
         report["scheduler"] = evaluate_corpus(picks, refs).to_dict()
@@ -284,7 +244,7 @@ def cmd_plug_and_play(args) -> int:
 # -- schedule export ---------------------------------------------------------
 
 def cmd_export_schedule(args) -> int:
-    srcs = load_jsonl_sources(args.src, args.tokenizer)
+    [srcs] = load_jsonl_fields(args.src, ("src",), args.tokenizer)
     schedules, _ = _greedy_schedules(args.scheduler, srcs)
     steps = schedules[0].steps
     lines = ["sentence,t,pointer,beta_pointer,alpha_bar_x,beta_eff"]
@@ -322,11 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="JSONL training corpus")
     p.add_argument("--val-data", dest="val_data", help="JSONL held-out corpus")
     p.add_argument("--T", type=int, help="diffusion step count")
-    p.add_argument("--steps", type=int, help="generation step count")
+    p.add_argument("--steps", dest="gen_steps", metavar="STEPS", type=int,
+                   help="generation step count")
     p.add_argument("--mbr", type=int, help="candidate set size")
     p.add_argument("--epochs", type=int)
     p.add_argument("--max-steps", dest="max_steps", type=int)
     p.add_argument("--fixed-sqrt", dest="fixed_sqrt", action="store_true",
+                   default=None,
                    help="baseline arm: plain base schedule, no policy")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any configuration key")

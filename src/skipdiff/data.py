@@ -170,9 +170,20 @@ def decode_row(batch: EncodedBatch, row: int, vocab: Vocab) -> tuple[list[str], 
     return src, tgt
 
 
-def load_jsonl(path, mode: str = "whitespace") -> list[SentencePair]:
-    """Order-preserving corpus load; errors carry 1-based line numbers."""
-    pairs = []
+# Fields that may hold no tokens: a model can generate nothing, but every
+# source and reference needs at least one token.
+_MAY_BE_EMPTY = frozenset({"gen"})
+
+
+def load_jsonl_fields(path, fields: tuple[str, ...],
+                      mode: str = "whitespace") -> list[list[list[str]]]:
+    """Tokenized columns of the named string fields, in file order.
+
+    Every named field is required on every non-blank line; only the
+    fields in ``_MAY_BE_EMPTY`` may tokenize to nothing. Errors name the
+    file and the 1-based line.
+    """
+    columns: list[list[list[str]]] = [[] for _ in fields]
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -180,40 +191,26 @@ def load_jsonl(path, mode: str = "whitespace") -> list[SentencePair]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise JsonlParseError(lineno, f"invalid JSON: {exc.msg}") from exc
+                raise JsonlParseError(path, lineno, f"invalid JSON: {exc.msg}") from exc
             if not isinstance(obj, dict):
-                raise JsonlParseError(lineno, "expected a JSON object")
-            for field in ("src", "trg"):
+                raise JsonlParseError(path, lineno, "expected a JSON object")
+            for field, column in zip(fields, columns):
                 if field not in obj:
-                    raise JsonlParseError(lineno, f"missing field {field!r}")
+                    raise JsonlParseError(path, lineno, f"missing field {field!r}")
                 if not isinstance(obj[field], str):
-                    raise JsonlParseError(lineno, f"field {field!r} must be a string")
-            src = tokenize(obj["src"], mode)
-            tgt = tokenize(obj["trg"], mode)
-            if not src or not tgt:
-                raise JsonlParseError(lineno, "empty sentence after tokenization")
-            pairs.append(SentencePair(src, tgt))
-    return pairs
+                    raise JsonlParseError(path, lineno, f"field {field!r} must be a string")
+                tokens = tokenize(obj[field], mode)
+                if not tokens and field not in _MAY_BE_EMPTY:
+                    raise JsonlParseError(path, lineno,
+                                          f"field {field!r} is empty after tokenization")
+                column.append(tokens)
+    return columns
 
 
-def load_jsonl_sources(path, mode: str = "whitespace") -> list[list[str]]:
-    """Sources only; the reference field is optional here."""
-    srcs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise JsonlParseError(lineno, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict) or "src" not in obj:
-                raise JsonlParseError(lineno, "missing field 'src'")
-            tokens = tokenize(obj["src"], mode)
-            if not tokens:
-                raise JsonlParseError(lineno, "empty source after tokenization")
-            srcs.append(tokens)
-    return srcs
+def load_jsonl(path, mode: str = "whitespace") -> list[SentencePair]:
+    """Order-preserving corpus load of ``src``/``trg`` pairs."""
+    srcs, tgts = load_jsonl_fields(path, ("src", "trg"), mode)
+    return [SentencePair(src, tgt) for src, tgt in zip(srcs, tgts)]
 
 
 def save_jsonl(path, rows: list[dict]) -> None:

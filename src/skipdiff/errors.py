@@ -18,11 +18,11 @@ class TruncationError(ValueError):
 
 
 class JsonlParseError(ValueError):
-    """A corpus line could not be parsed; carries the 1-based line number."""
+    """A JSONL line could not be parsed; carries the file and 1-based line."""
 
-    def __init__(self, line_number: int, message: str):
+    def __init__(self, path, line_number: int, message: str):
         self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
+        super().__init__(f"{path}:{line_number}: {message}")
 
 
 class OracleInvalidError(RuntimeError):

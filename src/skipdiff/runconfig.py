@@ -62,26 +62,42 @@ DEFAULTS: dict[str, object] = {
 }
 
 
-def _coerce(key: str, raw: str) -> object:
+def _coerce(key: str, raw: str, where: str) -> object:
     default = DEFAULTS[key]
+    cannot = f"{where}: key {key!r}: cannot parse {raw!r} as"
     if isinstance(default, bool):
-        low = raw.strip().lower()
+        low = raw.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as a boolean")
+        raise ConfigError(f"{cannot} a boolean")
     if isinstance(default, int):
         try:
             return int(raw)
         except ValueError as exc:
-            raise ConfigError(f"key {key!r}: cannot parse {raw!r} as an integer") from exc
+            raise ConfigError(f"{cannot} an integer") from exc
     if isinstance(default, float):
         try:
             return float(raw)
         except ValueError as exc:
-            raise ConfigError(f"key {key!r}: cannot parse {raw!r} as a number") from exc
+            raise ConfigError(f"{cannot} a number") from exc
     return raw
+
+
+def parse_setting(text: str, where: str) -> tuple[str, object]:
+    """One ``key=value`` setting, typed like the key's default.
+
+    Used for config-file lines and ``--set`` alike; ``where`` (``path:line``
+    or ``--set``) starts every error message. Unknown keys fail.
+    """
+    key, sep, raw = text.partition("=")
+    key = key.strip()
+    if not sep:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    if key not in DEFAULTS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return key, _coerce(key, raw.strip(), where)
 
 
 def parse_config_file(path) -> dict[str, object]:
@@ -90,15 +106,9 @@ def parse_config_file(path) -> dict[str, object]:
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
                                   start=1):
         text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if "=" not in text:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
-        key, _, value = text.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _coerce(key, value.strip())
+        if text and not text.startswith("#"):
+            key, value = parse_setting(text, f"{path}:{lineno}")
+            out[key] = value
     return out
 
 

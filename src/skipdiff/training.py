@@ -85,7 +85,6 @@ class MetaRewardRecord:
 
 @dataclass
 class ExplorationResult:
-    grad: dict[str, np.ndarray]        # reward-scaled score gradient
     score_grad: dict[str, np.ndarray]  # gradient of the summed log-prob
     record: MetaRewardRecord
 
@@ -121,9 +120,7 @@ def exploration_epoch(theta: dict[str, np.ndarray], psi: dict[str, np.ndarray],
                                num_steps=t_cfg.gen_steps)
     record = MetaRewardRecord.from_scores(corpus_bleu(gen_before, refs),
                                           corpus_bleu(gen_after, refs))
-    score_grad = inst_batch.score_gradients()
-    grad = {name: record.r_meta * g for name, g in score_grad.items()}
-    return ExplorationResult(grad=grad, score_grad=score_grad, record=record)
+    return ExplorationResult(score_grad=inst_batch.score_gradients(), record=record)
 
 
 def scheduler_round(theta: dict[str, np.ndarray], psi: dict[str, np.ndarray],
@@ -223,108 +220,108 @@ def meta_train(train_pairs: list[SentencePair], heldout_pairs: list[SentencePair
     opt = AdaptiveSGD(lr=t_cfg.lr_exploiter)
     events: list[dict] = []
     log_path = os.path.join(run_dir, "log.jsonl")
-    log_fh = open(log_path, "w", encoding="utf-8")
+    with open(log_path, "w", encoding="utf-8") as log_fh:
 
-    def log(event: dict):
-        events.append(event)
-        log_fh.write(json.dumps(event, sort_keys=True) + "\n")
-        log_fh.flush()
+        def log(event: dict):
+            events.append(event)
+            log_fh.write(json.dumps(event, sort_keys=True) + "\n")
+            log_fh.flush()
 
-    def evaluate(theta_now, psi_now, epoch):
-        srcs = [list(p.src) for p in heldout_pairs]
-        refs = [list(p.tgt) for p in heldout_pairs]
-        if t_cfg.fixed_sqrt:
-            schedules: ScheduledNoise | list = flat
-        else:
-            _, schedules = _sentence_schedules(
-                psi_now, srcs, vocab, s_cfg, base, None, mode="greedy")
-        picks, _ = generate_with_mbr(theta_now, vocab, e_cfg, srcs, schedules,
-                                     rng.fork("eval", epoch), t_cfg.eval_mbr,
-                                     t_cfg.gen_steps)
-        report = evaluate_corpus(picks, refs)
-        return report.to_dict()
-
-    _save_pair(run_dir, "0", theta, psi, e_cfg, s_cfg, vocab, dataset_tag)
-    log({"event": "init", "epoch": 0, "train_size": len(train_pairs),
-         "heldout_size": len(heldout_pairs)})
-    if heldout_pairs and t_cfg.eval_every and t_cfg.max_epochs > 0:
-        log({"event": "init_eval", "epoch": -1, **evaluate(theta, psi, -1)})
-
-    n = len(train_pairs)
-    steps_done = 0
-    round_idx = 0
-    best_bleu = -1.0
-    stale_evals = 0
-    epoch = 0
-    period = t_cfg.scheduler_update_period
-    for epoch in range(t_cfg.max_epochs):
-        if t_cfg.max_steps and steps_done >= t_cfg.max_steps:
-            break
-        if not t_cfg.fixed_sqrt and period > 0 and epoch % period == 0:
-            order = rng.fork("explore-data", epoch).shuffle_index(n)
-            need = t_cfg.exploration_epochs * t_cfg.exploration_batch
-            picks = [int(order[i % n]) for i in range(need)]
-            minibatches = [
-                [train_pairs[j] for j in picks[e * t_cfg.exploration_batch:
-                                               (e + 1) * t_cfg.exploration_batch]]
-                for e in range(t_cfg.exploration_epochs)]
-            rngs = [rng.fork("exploration", epoch, e)
-                    for e in range(t_cfg.exploration_epochs)]
-            psi, records = scheduler_round(theta, psi, minibatches, vocab, base,
-                                           rngs, e_cfg, s_cfg, t_cfg)
-            for e, record in enumerate(records):
-                log({"event": "exploration", "epoch": epoch, "round": round_idx,
-                     "e": e, "r_before": record.r_before,
-                     "r_after": record.r_after, "r_meta": record.r_meta})
-            log({"event": "scheduler_update", "epoch": epoch, "round": round_idx,
-                 "mean_r_meta": float(np.mean([r.r_meta for r in records]))})
-            round_idx += 1
-
-        order = rng.fork("shuffle", epoch).shuffle_index(n)
-        losses = []
-        for start in range(0, n, t_cfg.total_batch):
-            if t_cfg.max_steps and steps_done >= t_cfg.max_steps:
-                break
-            chunk = [train_pairs[int(i)] for i in order[start:start + t_cfg.total_batch]]
-            encoded = encode_batch(chunk, vocab, e_cfg.max_len)
+        def evaluate(theta_now, psi_now, epoch):
+            srcs = [list(p.src) for p in heldout_pairs]
+            refs = [list(p.tgt) for p in heldout_pairs]
             if t_cfg.fixed_sqrt:
                 schedules: ScheduledNoise | list = flat
             else:
                 _, schedules = _sentence_schedules(
-                    psi, [list(p.src) for p in chunk], vocab, s_cfg, base,
-                    rng.fork("train-sched", epoch, start), mode="stochastic",
-                    record=False)
-            loss, grads = diffusion_loss(theta, encoded, schedules,
-                                         rng.fork("train-diff", epoch, start),
-                                         e_cfg)
-            theta = opt.step(theta, grads)
-            losses.append(loss)
-            steps_done += 1
-        log({"event": "epoch", "epoch": epoch,
-             "loss": float(np.mean(losses)) if losses else None,
-             "steps_done": steps_done})
+                    psi_now, srcs, vocab, s_cfg, base, None, mode="greedy")
+            picks, _ = generate_with_mbr(theta_now, vocab, e_cfg, srcs, schedules,
+                                         rng.fork("eval", epoch), t_cfg.eval_mbr,
+                                         t_cfg.gen_steps)
+            report = evaluate_corpus(picks, refs)
+            return report.to_dict()
 
-        if heldout_pairs and t_cfg.eval_every and (epoch + 1) % t_cfg.eval_every == 0:
-            scores = evaluate(theta, psi, epoch)
-            log({"event": "eval", "epoch": epoch, **scores})
-            if t_cfg.early_stop_patience:
-                if scores["BLEU"] > best_bleu + 1e-9:
-                    best_bleu = scores["BLEU"]
-                    stale_evals = 0
+        _save_pair(run_dir, "0", theta, psi, e_cfg, s_cfg, vocab, dataset_tag)
+        log({"event": "init", "epoch": 0, "train_size": len(train_pairs),
+             "heldout_size": len(heldout_pairs)})
+        if heldout_pairs and t_cfg.eval_every and t_cfg.max_epochs > 0:
+            log({"event": "init_eval", "epoch": -1, **evaluate(theta, psi, -1)})
+
+        n = len(train_pairs)
+        steps_done = 0
+        round_idx = 0
+        best_bleu = -1.0
+        stale_evals = 0
+        epoch = 0
+        period = t_cfg.scheduler_update_period
+        for epoch in range(t_cfg.max_epochs):
+            if t_cfg.max_steps and steps_done >= t_cfg.max_steps:
+                break
+            if not t_cfg.fixed_sqrt and period > 0 and epoch % period == 0:
+                order = rng.fork("explore-data", epoch).shuffle_index(n)
+                need = t_cfg.exploration_epochs * t_cfg.exploration_batch
+                picks = [int(order[i % n]) for i in range(need)]
+                minibatches = [
+                    [train_pairs[j] for j in picks[e * t_cfg.exploration_batch:
+                                                   (e + 1) * t_cfg.exploration_batch]]
+                    for e in range(t_cfg.exploration_epochs)]
+                rngs = [rng.fork("exploration", epoch, e)
+                        for e in range(t_cfg.exploration_epochs)]
+                psi, records = scheduler_round(theta, psi, minibatches, vocab, base,
+                                               rngs, e_cfg, s_cfg, t_cfg)
+                for e, record in enumerate(records):
+                    log({"event": "exploration", "epoch": epoch, "round": round_idx,
+                         "e": e, "r_before": record.r_before,
+                         "r_after": record.r_after, "r_meta": record.r_meta})
+                log({"event": "scheduler_update", "epoch": epoch, "round": round_idx,
+                     "mean_r_meta": float(np.mean([r.r_meta for r in records]))})
+                round_idx += 1
+
+            order = rng.fork("shuffle", epoch).shuffle_index(n)
+            losses = []
+            for start in range(0, n, t_cfg.total_batch):
+                if t_cfg.max_steps and steps_done >= t_cfg.max_steps:
+                    break
+                chunk = [train_pairs[int(i)]
+                         for i in order[start:start + t_cfg.total_batch]]
+                encoded = encode_batch(chunk, vocab, e_cfg.max_len)
+                if t_cfg.fixed_sqrt:
+                    schedules: ScheduledNoise | list = flat
                 else:
-                    stale_evals += 1
-                    if stale_evals >= t_cfg.early_stop_patience:
-                        log({"event": "early_stop", "epoch": epoch})
-                        break
-        if t_cfg.checkpoint_every and (epoch + 1) % t_cfg.checkpoint_every == 0:
-            _save_pair(run_dir, str(epoch + 1), theta, psi, e_cfg, s_cfg,
-                       vocab, dataset_tag)
+                    _, schedules = _sentence_schedules(
+                        psi, [list(p.src) for p in chunk], vocab, s_cfg, base,
+                        rng.fork("train-sched", epoch, start), mode="stochastic",
+                        record=False)
+                loss, grads = diffusion_loss(theta, encoded, schedules,
+                                             rng.fork("train-diff", epoch, start),
+                                             e_cfg)
+                theta = opt.step(theta, grads)
+                losses.append(loss)
+                steps_done += 1
+            log({"event": "epoch", "epoch": epoch,
+                 "loss": float(np.mean(losses)) if losses else None,
+                 "steps_done": steps_done})
 
-    _save_pair(run_dir, "final", theta, psi, e_cfg, s_cfg, vocab, dataset_tag)
-    if heldout_pairs:
-        scores = evaluate(theta, psi, t_cfg.max_epochs)
-        log({"event": "final_eval", "epoch": epoch, **scores})
-    log_fh.close()
+            if heldout_pairs and t_cfg.eval_every and (epoch + 1) % t_cfg.eval_every == 0:
+                scores = evaluate(theta, psi, epoch)
+                log({"event": "eval", "epoch": epoch, **scores})
+                if t_cfg.early_stop_patience:
+                    if scores["BLEU"] > best_bleu + 1e-9:
+                        best_bleu = scores["BLEU"]
+                        stale_evals = 0
+                    else:
+                        stale_evals += 1
+                        if stale_evals >= t_cfg.early_stop_patience:
+                            log({"event": "early_stop", "epoch": epoch})
+                            break
+            if t_cfg.checkpoint_every and (epoch + 1) % t_cfg.checkpoint_every == 0:
+                _save_pair(run_dir, str(epoch + 1), theta, psi, e_cfg, s_cfg,
+                           vocab, dataset_tag)
+
+        _save_pair(run_dir, "final", theta, psi, e_cfg, s_cfg, vocab, dataset_tag)
+        if heldout_pairs:
+            scores = evaluate(theta, psi, t_cfg.max_epochs)
+            log({"event": "final_eval", "epoch": epoch, **scores})
     return TrainResult(run_dir=run_dir, exploiter=theta, scheduler=psi,
                        vocab=vocab, exploiter_config=e_cfg,
                        scheduler_config=s_cfg, train_config=t_cfg,

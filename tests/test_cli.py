@@ -98,10 +98,13 @@ def test_train_from_config_file_deterministic(tmp_path):
     assert "task=sort" in resolved and "seed=7" in resolved
 
 
-def test_unknown_config_key_rejected(tmp_path):
-    code = run_cli("train", "--task", "copy", "--out", str(tmp_path / "x"),
-                   "--set", "nonsense_key=3")
+@pytest.mark.parametrize("setting", ["nonsense_key=3", "rounding_loss=maybe",
+                                     "T=abc", "T"])
+def test_unknown_config_key_rejected(tmp_path, setting):
+    out = tmp_path / "x"
+    code = run_cli("train", "--task", "copy", "--out", str(out), "--set", setting)
     assert code == 2
+    assert not out.exists()
 
 
 def test_unknown_config_file_key_rejected(tmp_path):
@@ -146,9 +149,13 @@ def test_generate_requires_schedule_choice(tiny_run, src_file, tmp_path, capsys)
 
 
 def test_evaluate_identity_scores_one(tmp_path, src_file):
+    gen = tmp_path / "gen.jsonl"
+    with open(src_file) as fh:
+        rows = [json.loads(line) for line in fh]
+    gen.write_text("".join(json.dumps({"src": r["src"], "gen": r["trg"]}) + "\n"
+                           for r in rows))
     out = str(tmp_path / "report.json")
-    code = run_cli("evaluate", "--gen", src_file.replace("src.jsonl", "src.jsonl"),
-                   "--ref", src_file, "--out", out)
+    code = run_cli("evaluate", "--gen", str(gen), "--ref", src_file, "--out", out)
     assert code == 0
     report = json.loads(open(out).read())
     assert report["BLEU"] == pytest.approx(1.0)
@@ -159,6 +166,34 @@ def test_evaluate_misaligned_rejected(tmp_path, src_file):
     short = tmp_path / "short.jsonl"
     short.write_text('{"src": "a", "trg": "a"}\n')
     assert run_cli("evaluate", "--gen", src_file, "--ref", str(short)) == 2
+
+
+@pytest.mark.parametrize("argv, lines, bad_line", [
+    pytest.param(["evaluate", "--gen", "{bad}", "--ref", "{src}"],
+                 ['{"src": "w00", "trg": "w00"}'], 1, id="evaluate-gen-without-gen"),
+    pytest.param(["evaluate", "--gen", "{gen}", "--ref", "{bad}"],
+                 ['{"trg": "w00"}', "not json"], 2, id="evaluate-ref-not-json"),
+    pytest.param(["analyze-difficulty", "--gen", "{bad}", "--scheduler", "{scheduler}",
+                  "--k", "1", "--out", "{tmp}/x.csv"],
+                 ['{"src": "w00", "ref": "w00"}'], 1, id="analyze-without-gen"),
+    pytest.param(["generate", "--exploiter", "{exploiter}", "--scheduler", "{scheduler}",
+                  "--src", "{bad}", "--out", "{tmp}/x.jsonl"],
+                 ['{"src": "w00"}', '{"src": 5}'], 2, id="generate-src-not-string"),
+    pytest.param(["export-schedule", "--scheduler", "{scheduler}", "--src", "{bad}",
+                  "--out", "{tmp}/x.csv"],
+                 ['{"src": "w00"}', '{"src": 5}'], 2, id="export-src-not-string"),
+])
+def test_malformed_jsonl_names_file_and_line(tiny_run, src_file, tmp_path, capsys,
+                                             argv, lines, bad_line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text('{"gen": "w00"}\n{"gen": "w01"}\n')
+    paths = {"bad": bad, "gen": gen, "src": src_file, "tmp": tmp_path,
+             "scheduler": os.path.join(tiny_run, "checkpoints", "scheduler-final.bin"),
+             "exploiter": os.path.join(tiny_run, "checkpoints", "exploiter-final.bin")}
+    assert run_cli(*[arg.format(**paths) for arg in argv]) == 2
+    assert f"{bad}:{bad_line}: " in capsys.readouterr().err
 
 
 def test_evaluate_systems_reproduces_published_ranks(tmp_path, capsys):

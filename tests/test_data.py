@@ -4,7 +4,7 @@ import pytest
 from skipdiff.data import (EOS, PAD, SEP, UNK, SentencePair,
                            Vocab, build_vocab, decode_row, encode_batch,
                            encode_pair, generate_synthetic, load_jsonl,
-                           synthetic_vocab, tokenize)
+                           load_jsonl_fields, synthetic_vocab, tokenize)
 from skipdiff.errors import JsonlParseError, TruncationError
 from skipdiff.rng import RngStream
 
@@ -122,6 +122,7 @@ def test_load_jsonl_missing_field_names_line(tmp_path):
         load_jsonl(path)
     assert err.value.line_number == 2
     assert "trg" in str(err.value)
+    assert str(err.value).startswith(f"{path}:2: ")
 
 
 def test_load_jsonl_bad_json_names_line(tmp_path):
@@ -130,6 +131,17 @@ def test_load_jsonl_bad_json_names_line(tmp_path):
     with pytest.raises(JsonlParseError) as err:
         load_jsonl(path)
     assert err.value.line_number == 2
+    assert str(err.value).startswith(f"{path}:2: ")
+
+
+def test_load_jsonl_fields_only_gen_may_be_empty(tmp_path):
+    path = tmp_path / "g.jsonl"
+    path.write_text('{"src": "a b", "gen": ""}\n')
+    assert load_jsonl_fields(path, ("src", "gen")) == [[["a", "b"]], [[]]]
+    path.write_text('{"src": " ", "gen": "a"}\n')
+    with pytest.raises(JsonlParseError) as err:
+        load_jsonl_fields(path, ("src", "gen"))
+    assert str(err.value).startswith(f"{path}:1: ") and "src" in str(err.value)
 
 
 def test_synthetic_copy():

@@ -1,12 +1,15 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
+from skipdiff import training
 from skipdiff.checkpoint import load_checkpoint
 from skipdiff.data import generate_synthetic, synthetic_vocab
 from skipdiff.errors import ConfigError, ContractError
 from skipdiff.exploiter import ExploiterConfig, init_exploiter_params, params_checksum
+from skipdiff.optim import AdaptiveSGD
 from skipdiff.rng import RngStream
 from skipdiff.schedule import build_sqrt_schedule
 from skipdiff.scheduler import SchedulerConfig, init_scheduler_params
@@ -52,7 +55,8 @@ def test_exploration_zero_probe_lr_gives_zero_gradient():
                                RngStream(7), E_CFG, S_CFG,
                                t_cfg(probe_lr=0.0))
     assert result.record.r_meta == 0.0
-    assert all(np.all(g == 0) for g in result.grad.values())
+    assert all(np.all(result.record.r_meta * g == 0)
+               for g in result.score_grad.values())
 
 
 def test_exploration_deterministic():
@@ -62,8 +66,9 @@ def test_exploration_deterministic():
     b = exploration_epoch(theta, psi, pairs(4), VOCAB, BASE, RngStream(7),
                           E_CFG, S_CFG, t_cfg())
     assert a.record == b.record
-    for name in a.grad:
-        assert np.array_equal(a.grad[name], b.grad[name])
+    assert a.score_grad.keys() == b.score_grad.keys()
+    for name in a.score_grad:
+        assert np.array_equal(a.score_grad[name], b.score_grad[name])
 
 
 def test_scheduler_round_freezes_exploiter():
@@ -124,6 +129,28 @@ def test_meta_train_logs_one_record_per_exploration(tmp_path):
     assert len(explorations) == 2 * 2
     for event in explorations:
         assert event["r_meta"] == pytest.approx(event["r_after"] - event["r_before"])
+
+
+def test_meta_train_closes_log_when_a_step_raises(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    def failing_step(self, *args, **kwargs):
+        raise RuntimeError("step failed")
+
+    monkeypatch.setattr(training, "open", recording_open, raising=False)
+    monkeypatch.setattr(AdaptiveSGD, "step", failing_step)
+    run = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="step failed"):
+        meta_train(pairs(8), [], VOCAB, str(run), E_CFG, S_CFG, t_cfg())
+    lines = (run / "log.jsonl").read_text().splitlines()
+    assert [json.loads(line)["event"] for line in lines] == [
+        "init", "exploration", "exploration", "scheduler_update"]
+    assert len(opened) == 1 and opened[0].closed
 
 
 def test_meta_train_empty_dataset_rejected(tmp_path):
