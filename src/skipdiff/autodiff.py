@@ -119,6 +119,13 @@ def const(value) -> Tensor:
     return _coerce(value)
 
 
+def lift(params: dict[str, np.ndarray], tape: Tape | None) -> dict[str, Tensor]:
+    """Named arrays as trainable leaves of ``tape``, or as constants without one."""
+    if tape is None:
+        return {k: Tensor(v) for k, v in params.items()}
+    return {k: tape.leaf(v) for k, v in params.items()}
+
+
 def _result_tape(*tensors: Tensor) -> Tape | None:
     tape = None
     for t in tensors:

@@ -24,10 +24,9 @@ from .metrics import (bleu, evaluate_corpus, mean_rank, rank_table_csv)
 from .rng import RngStream
 from .runconfig import (DEFAULTS, format_resolved, parse_config_file,
                         parse_setting, resolve)
-from .schedule import build_sqrt_schedule, schedule_to_csv
+from .schedule import apply_skipping, build_sqrt_schedule, schedule_to_csv
 from .scheduler import SchedulerConfig, sample_instructions_batch
 from .training import TrainConfig, meta_train, plug_and_play_generate
-from .schedule import apply_skipping
 
 USER_ERRORS = (ConfigError, ContractError, JsonlParseError, ParameterError,
                ShapeError, TruncationError, FileNotFoundError, ValueError)
@@ -173,6 +172,7 @@ def cmd_evaluate(args) -> int:
 # -- difficulty analysis ----------------------------------------------------
 
 def _greedy_schedules(ckpt_path, srcs):
+    """The policy's greedy schedules for ``srcs``, one row per source."""
     ckpt = load_checkpoint(ckpt_path)
     if ckpt.kind != "scheduler":
         raise ConfigError(f"{ckpt_path} is not a scheduler checkpoint")
@@ -180,8 +180,7 @@ def _greedy_schedules(ckpt_path, srcs):
     vocab = Vocab(ckpt.vocab_tokens)
     batch = sample_instructions_batch(ckpt.params, srcs, vocab, s_cfg,
                                       None, mode="greedy")
-    base = build_sqrt_schedule(s_cfg.decoder_len)
-    return [apply_skipping(s.instructions, base) for s in batch.samples], s_cfg
+    return apply_skipping(batch.instructions, build_sqrt_schedule(s_cfg.decoder_len))
 
 
 def cmd_analyze_difficulty(args) -> int:
@@ -198,13 +197,12 @@ def cmd_analyze_difficulty(args) -> int:
     scores = np.array([bleu(g, [r]) if g else 0.0 for g, r in zip(gens, refs)])
     hardest = np.argsort(scores, kind="stable")[:args.k]
     easiest = np.argsort(-scores, kind="stable")[:args.k]
-    sched_hard, _ = _greedy_schedules(args.scheduler, [srcs[i] for i in hardest])
-    sched_easy, _ = _greedy_schedules(args.scheduler, [srcs[i] for i in easiest])
-    steps = sched_hard[0].steps
-    mean_hard = np.mean([s.beta_pointer[1:] for s in sched_hard], axis=0)
-    mean_easy = np.mean([s.beta_pointer[1:] for s in sched_easy], axis=0)
+    sched_hard = _greedy_schedules(args.scheduler, [srcs[i] for i in hardest])
+    sched_easy = _greedy_schedules(args.scheduler, [srcs[i] for i in easiest])
+    mean_hard = sched_hard.beta_pointer[:, 1:].mean(axis=0)
+    mean_easy = sched_easy.beta_pointer[:, 1:].mean(axis=0)
     lines = ["t,mean_beta_hard,mean_beta_easy"]
-    for t in range(steps):
+    for t in range(sched_hard.steps):
         lines.append(f"{t + 1},{float(mean_hard[t])!r},{float(mean_easy[t])!r}")
     _write_text(args.out, "\n".join(lines) + "\n")
     summary = {
@@ -245,22 +243,8 @@ def cmd_plug_and_play(args) -> int:
 
 def cmd_export_schedule(args) -> int:
     [srcs] = load_jsonl_fields(args.src, ("src",), args.tokenizer)
-    schedules, _ = _greedy_schedules(args.scheduler, srcs)
-    steps = schedules[0].steps
-    lines = ["sentence,t,pointer,beta_pointer,alpha_bar_x,beta_eff"]
-    for i, sched in enumerate(schedules):
-        for line in schedule_to_csv(sched).splitlines()[1:]:
-            lines.append(f"{i},{line}")
-    mean_pointer = np.mean([s.pointer[1:] for s in schedules], axis=0)
-    mean_bp = np.mean([s.beta_pointer[1:] for s in schedules], axis=0)
-    mean_ab = np.mean([s.alpha_bar_x[1:] for s in schedules], axis=0)
-    mean_be = np.mean([s.beta_eff[1:] for s in schedules], axis=0)
-    for t in range(steps):
-        lines.append(f"mean,{t + 1},{float(mean_pointer[t])!r},"
-                     f"{float(mean_bp[t])!r},{float(mean_ab[t])!r},"
-                     f"{float(mean_be[t])!r}")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {len(schedules)} schedules (+mean) to {args.out}")
+    _write_text(args.out, schedule_to_csv(_greedy_schedules(args.scheduler, srcs)))
+    print(f"wrote {len(srcs)} schedules (+mean) to {args.out}")
     return 0
 
 
@@ -353,9 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", "") == "generate":
+    if args.command == "generate":
         if (args.scheduler is None) == (not args.fixed_sqrt):
             parser.error("generate needs exactly one of --scheduler / --fixed-sqrt")
+    if args.command == "evaluate":
+        if not (args.systems or (args.gen and args.ref)):
+            parser.error("evaluate needs --systems, or both --gen and --ref")
     try:
         return args.func(args)
     except USER_ERRORS as exc:

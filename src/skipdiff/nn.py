@@ -24,10 +24,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out if b is None else out + b
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    return layer_norm_op(x, gain, bias, eps)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention over the last two axes."""
     nd = k.data.ndim
@@ -60,10 +56,10 @@ def feed_forward(x: Tensor, p: Mapping[str, Tensor], prefix: str) -> Tensor:
 def transformer_block(x: Tensor, p: Mapping[str, Tensor], prefix: str,
                       heads: int) -> Tensor:
     h = x + multi_head_attention(
-        layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"]), p,
+        layer_norm_op(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"]), p,
         f"{prefix}.attn", heads)
     return h + feed_forward(
-        layer_norm(h, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"]), p,
+        layer_norm_op(h, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"]), p,
         f"{prefix}.ffn")
 
 
@@ -115,7 +111,7 @@ def init_matrix(rng: RngStream, fan_in: int, fan_out: int,
 
 
 __all__ = [
-    "linear", "gelu", "layer_norm", "attention", "multi_head_attention",
+    "linear", "gelu", "layer_norm_op", "attention", "multi_head_attention",
     "feed_forward", "transformer_block", "masked_mse", "log_softmax",
     "masked_cross_entropy", "lstm_step", "init_matrix",
     "gather_rows", "where_mask", "concat",

@@ -119,8 +119,3 @@ class RngStream:
         """Deterministic permutation of range(n) (argsort of one uniform row)."""
         keys = self.uniform((n,))
         return np.argsort(keys, kind="stable")
-
-
-def sample_gaussian(shape, rng: RngStream) -> np.ndarray:
-    """i.i.d. standard normal array; advances rng by the element count."""
-    return rng.normal(shape)

@@ -33,18 +33,20 @@ class BaseSchedule:
 
 @dataclass(frozen=True)
 class MetaInstructions:
-    """Per-step boolean advance/hold decisions; length equals the step count."""
+    """Per-step boolean advance/hold decisions: ``[T]`` for one sentence or
+    ``[B, T]`` for a batch, one row per sentence."""
 
     bits: np.ndarray
 
     def __init__(self, bits):
         arr = np.asarray(bits, dtype=bool)
-        if arr.ndim != 1:
-            raise ContractError("instructions must be a 1-D boolean sequence")
+        if arr.ndim not in (1, 2):
+            raise ContractError("instructions must be a [T] or [B, T] boolean array")
         object.__setattr__(self, "bits", arr)
 
-    def __len__(self) -> int:
-        return len(self.bits)
+    @property
+    def steps(self) -> int:
+        return self.bits.shape[-1]
 
     @classmethod
     def all_true(cls, steps: int) -> "MetaInstructions":
@@ -53,10 +55,15 @@ class MetaInstructions:
 
 @dataclass(frozen=True)
 class ScheduledNoise:
-    """Contextualized schedule produced by skipping over a base schedule."""
+    """Contextualized schedule produced by skipping over a base schedule.
+
+    Each array is ``[T+1]`` (one schedule shared by every row, as
+    ``fixed_schedule`` gives) or ``[B, T+1]`` (one schedule per row), and is
+    indexed by step on its last axis.
+    """
 
     steps: int
-    pointer: np.ndarray       # int, indexed 0..T, pointer[0] == 0
+    pointer: np.ndarray       # int, indexed 0..T, pointer[..., 0] == 0
     alpha_bar_x: np.ndarray   # indexed 0..T
     beta_pointer: np.ndarray  # indexed 1..T (entry 0 unused)
     beta_eff: np.ndarray      # indexed 1..T (entry 0 unused)
@@ -77,37 +84,32 @@ def build_sqrt_schedule(steps: int, s: float = 1e-4) -> BaseSchedule:
 
 
 def apply_skipping(instructions: MetaInstructions, base: BaseSchedule) -> ScheduledNoise:
-    """Turn advance/hold instructions into a per-sentence schedule.
+    """Turn advance/hold instructions into contextualized schedules, one per
+    row of ``instructions.bits`` (or a single one for ``[T]`` bits).
 
     The pointer is clamped to at least 1 from the first step onward, so a
     leading False still consumes beta_1 and the first transition stays
     well defined.
     """
-    if len(instructions) != base.steps:
+    if instructions.steps != base.steps:
         raise ContractError(
-            f"instruction length {len(instructions)} != schedule steps {base.steps}")
+            f"instruction length {instructions.steps} != schedule steps {base.steps}")
     steps = base.steps
-    pointer = np.zeros(steps + 1, dtype=np.int64)
-    pointer[1:] = np.maximum(np.cumsum(instructions.bits.astype(np.int64)), 1)
+    shape = instructions.bits.shape[:-1] + (steps + 1,)
+    pointer = np.zeros(shape, dtype=np.int64)
+    pointer[..., 1:] = np.maximum(np.cumsum(instructions.bits, axis=-1, dtype=np.int64), 1)
     alpha_bar_x = base.alpha_bar[pointer]
-    beta_pointer = np.empty(steps + 1, dtype=np.float64)
-    beta_pointer[0] = np.nan
-    beta_pointer[1:] = base.beta[np.maximum(pointer[1:], 1)]
-    beta_eff = np.empty(steps + 1, dtype=np.float64)
-    beta_eff[0] = np.nan
-    beta_eff[1:] = 1.0 - alpha_bar_x[1:] / alpha_bar_x[:-1]
+    beta_pointer = np.empty(shape, dtype=np.float64)
+    beta_pointer[..., 0] = np.nan
+    beta_pointer[..., 1:] = base.beta[pointer[..., 1:]]
+    beta_eff = np.empty(shape, dtype=np.float64)
+    beta_eff[..., 0] = np.nan
+    beta_eff[..., 1:] = 1.0 - alpha_bar_x[..., 1:] / alpha_bar_x[..., :-1]
     # A stalled pointer repeats the same alpha_bar; force the effective
     # noise to exactly zero rather than leaving rounding residue.
-    beta_eff[1:][pointer[1:] == pointer[:-1]] = 0.0
+    beta_eff[..., 1:][pointer[..., 1:] == pointer[..., :-1]] = 0.0
     return ScheduledNoise(steps=steps, pointer=pointer, alpha_bar_x=alpha_bar_x,
                           beta_pointer=beta_pointer, beta_eff=beta_eff)
-
-
-def effective_noise_at(schedule: ScheduledNoise, t: int) -> tuple[float, float]:
-    """(cumulative signal level, per-step effective noise) at step t."""
-    if not 1 <= t <= schedule.steps:
-        raise IndexError(f"step {t} outside 1..{schedule.steps}")
-    return float(schedule.alpha_bar_x[t]), float(schedule.beta_eff[t])
 
 
 def fixed_schedule(base: BaseSchedule) -> ScheduledNoise:
@@ -116,10 +118,18 @@ def fixed_schedule(base: BaseSchedule) -> ScheduledNoise:
 
 
 def schedule_to_csv(schedule: ScheduledNoise) -> str:
-    """CSV export: header t,pointer,beta_pointer,alpha_bar_x,beta_eff."""
+    """The ``export-schedule`` CSV of a ``[B, T+1]`` schedule: one row per
+    sentence and step, then one ``mean`` row per step."""
+    columns = (schedule.pointer, schedule.beta_pointer, schedule.alpha_bar_x,
+               schedule.beta_eff)
     buf = io.StringIO()
-    buf.write("t,pointer,beta_pointer,alpha_bar_x,beta_eff\n")
-    for t in range(1, schedule.steps + 1):
-        buf.write(f"{t},{int(schedule.pointer[t])},{float(schedule.beta_pointer[t])!r},"
-                  f"{float(schedule.alpha_bar_x[t])!r},{float(schedule.beta_eff[t])!r}\n")
+    buf.write("sentence,t,pointer,beta_pointer,alpha_bar_x,beta_eff\n")
+    for i in range(schedule.pointer.shape[0]):
+        for t in range(1, schedule.steps + 1):
+            values = ",".join(repr(float(col[i, t])) for col in columns[1:])
+            buf.write(f"{i},{t},{int(schedule.pointer[i, t])},{values}\n")
+    means = [col[:, 1:].mean(axis=0) for col in columns]
+    for t in range(schedule.steps):
+        values = ",".join(repr(float(m[t])) for m in means)
+        buf.write(f"mean,{t + 1},{values}\n")
     return buf.getvalue()

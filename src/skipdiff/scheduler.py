@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .autodiff import (Tape, Tensor, backward, const, gather_rows, neg,
+from .autodiff import (Tape, Tensor, backward, const, gather_rows, lift, neg,
                        reshape, softplus, sum_, where_mask)
 from .data import Vocab
 from .errors import ContractError, ParameterError, TruncationError
@@ -35,7 +35,7 @@ class SchedulerConfig:
     # Positive head bias starts the policy near the plain base schedule
     # (mostly-True instructions), so early training matches the known-good
     # fixed noise and exploration perturbs it gradually.
-    head_bias_init: float = 2.0
+    head_bias_init: float = 3.0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -78,6 +78,7 @@ class InstructionSample:
 class InstructionBatch:
     """A minibatch of samples sharing one recording tape."""
 
+    instructions: MetaInstructions   # [B, T]
     samples: list[InstructionSample]
     tape: Tape | None
     leaves: dict[str, Tensor] | None
@@ -96,12 +97,6 @@ class InstructionBatch:
             raise ContractError("batch was sampled without tape recording")
         grads = backward(self.tape, sum_(self.row_log_prob[row:row + 1]))
         return {name: grads[leaf.node_id] for name, leaf in self.leaves.items()}
-
-
-def _lift(params, tape):
-    if tape is None:
-        return {k: Tensor(v) for k, v in params.items()}
-    return {k: tape.leaf(v) for k, v in params.items()}
 
 
 def _ids_for(srcs: list[list[str]], vocab: Vocab, cfg: SchedulerConfig):
@@ -132,14 +127,6 @@ def _encode(pt, ids: np.ndarray, lengths: np.ndarray, hidden: int):
     return h, c
 
 
-def encode_condition(params, src_tokens: list[str], vocab: Vocab,
-                     cfg: SchedulerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Final (hidden, cell) state after consuming one source sentence."""
-    ids, lengths = _ids_for([src_tokens], vocab, cfg)
-    h, c = _encode(_lift(params, None), ids, lengths, cfg.hidden_dim)
-    return h.data[0], c.data[0]
-
-
 def sample_instructions_batch(params, srcs: list[list[str]], vocab: Vocab,
                               cfg: SchedulerConfig, rng: RngStream | None,
                               mode: str = "stochastic",
@@ -162,7 +149,7 @@ def sample_instructions_batch(params, srcs: list[list[str]], vocab: Vocab,
     ids, lengths = _ids_for(srcs, vocab, cfg)
     b = len(srcs)
     tape = Tape() if record else None
-    pt = _lift(params, tape)
+    pt = lift(params, tape)
     h, c = _encode(pt, ids, lengths, hidden)
 
     # start symbol replicated across the batch; gather keeps it trainable
@@ -184,7 +171,8 @@ def sample_instructions_batch(params, srcs: list[list[str]], vocab: Vocab,
         term = where_mask(bits, neg(softplus(neg(logit))), neg(softplus(logit)))
         log_prob_rows = log_prob_rows + term
         x = gather_rows(pt["inst_emb"], bits.astype(np.int64))
-    batch = InstructionBatch(samples=[], tape=tape, leaves=pt if record else None,
+    batch = InstructionBatch(instructions=MetaInstructions(bits_all), samples=[],
+                             tape=tape, leaves=pt if record else None,
                              row_log_prob=log_prob_rows, params_ref=id(params))
     for i in range(b):
         batch.samples.append(InstructionSample(
@@ -203,21 +191,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 def _as_table(vector: Tensor) -> Tensor:
     """View a vector as a one-row table for gather-based broadcast."""
     return reshape(vector, (1, vector.shape[0]))
-
-
-def sample_instructions(params, src_tokens: list[str], vocab: Vocab,
-                        cfg: SchedulerConfig, rng: RngStream | None = None,
-                        mode: str = "stochastic") -> InstructionSample:
-    batch = sample_instructions_batch(params, [src_tokens], vocab, cfg, rng, mode)
-    return batch.samples[0]
-
-
-def recompute_log_prob(sample: InstructionSample) -> float:
-    """Direct re-evaluation of the log-probability from probabilities."""
-    total = 0.0
-    for bit, p in zip(sample.instructions.bits, sample.per_step_probs):
-        total += np.log(p) if bit else np.log1p(-p)
-    return float(total)
 
 
 def policy_gradient(params, sample: InstructionSample,

@@ -12,6 +12,7 @@ touched inside a round.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -93,8 +94,7 @@ def _sentence_schedules(psi, srcs, vocab, s_cfg, base, rng, mode="stochastic",
                         record=False):
     batch = policy.sample_instructions_batch(psi, srcs, vocab, s_cfg, rng,
                                              mode, record=record)
-    schedules = [apply_skipping(s.instructions, base) for s in batch.samples]
-    return batch, schedules
+    return batch, apply_skipping(batch.instructions, base)
 
 
 def exploration_epoch(theta: dict[str, np.ndarray], psi: dict[str, np.ndarray],
@@ -158,8 +158,8 @@ def scheduler_round(theta: dict[str, np.ndarray], psi: dict[str, np.ndarray],
 
 
 def generate_with_mbr(theta, vocab: Vocab, e_cfg: ExploiterConfig,
-                      srcs: list[list[str]], schedules, rng: RngStream,
-                      mbr_size: int, gen_steps: int | None
+                      srcs: list[list[str]], schedules: ScheduledNoise,
+                      rng: RngStream, mbr_size: int, gen_steps: int | None
                       ) -> tuple[list[list[str]], list[list[list[str]]]]:
     """Per source: mbr_size candidates from distinct noise seeds, then the
     consensus pick. Returns (selections, all candidates)."""
@@ -231,7 +231,7 @@ def meta_train(train_pairs: list[SentencePair], heldout_pairs: list[SentencePair
             srcs = [list(p.src) for p in heldout_pairs]
             refs = [list(p.tgt) for p in heldout_pairs]
             if t_cfg.fixed_sqrt:
-                schedules: ScheduledNoise | list = flat
+                schedules = flat
             else:
                 _, schedules = _sentence_schedules(
                     psi_now, srcs, vocab, s_cfg, base, None, mode="greedy")
@@ -286,7 +286,7 @@ def meta_train(train_pairs: list[SentencePair], heldout_pairs: list[SentencePair
                          for i in order[start:start + t_cfg.total_batch]]
                 encoded = encode_batch(chunk, vocab, e_cfg.max_len)
                 if t_cfg.fixed_sqrt:
-                    schedules: ScheduledNoise | list = flat
+                    schedules = flat
                 else:
                     _, schedules = _sentence_schedules(
                         psi, [list(p.src) for p in chunk], vocab, s_cfg, base,
@@ -295,9 +295,23 @@ def meta_train(train_pairs: list[SentencePair], heldout_pairs: list[SentencePair
                 loss, grads = diffusion_loss(theta, encoded, schedules,
                                              rng.fork("train-diff", epoch, start),
                                              e_cfg)
+                if not np.isfinite(loss):
+                    message = (f"non-finite loss {loss} at epoch {epoch}, "
+                               f"step {steps_done + 1}")
+                    log({"event": "error", "epoch": epoch, "step": steps_done + 1,
+                         "message": message})
+                    raise ContractError(message)
                 theta = opt.step(theta, grads)
                 losses.append(loss)
                 steps_done += 1
+            # Each step's autodiff graph is a reference cycle (tape <-> nodes),
+            # freed only by the cyclic collector. Collecting the young
+            # generations here frees this epoch's graphs; left to the
+            # interpreter, a graph that is live when a collection runs is
+            # promoted and held until a full collection. A full collection
+            # would walk every object of the process, which costs more than
+            # the step itself when the caller's heap is large.
+            gc.collect(1)
             log({"event": "epoch", "epoch": epoch,
                  "loss": float(np.mean(losses)) if losses else None,
                  "steps_done": steps_done})
@@ -351,7 +365,7 @@ def plug_and_play_generate(scheduler_ckpt, exploiter_ckpt,
     sums = [params_checksum(expl_ck.params)]
     if fixed_sqrt:
         sched_ck = None
-        schedules: ScheduledNoise | list = fixed_schedule(base)
+        schedules = fixed_schedule(base)
     else:
         sched_ck = _as_checkpoint(scheduler_ckpt)
         if sched_ck.kind != "scheduler":

@@ -2,11 +2,15 @@
 
 The sort-task study (five paired seeds, two arms, 2000 denoiser steps
 each) is the expensive piece; it trains once per session and several
-criteria read from it.
+criteria read from it. Its ten arms are independent and deterministic,
+so they train in parallel worker processes, one per CPU core up to two.
 """
 
+import multiprocessing
+import os
 import sys
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,11 +101,17 @@ def sort_study(tmp_path_factory) -> SortStudy:
     srcs = [list(p.src) for p in heldout]
     refs = [[list(p.tgt)] for p in heldout]
     root = tmp_path_factory.mktemp("sort-study")
-    baseline, meta = {}, {}
-    for seed in SORT_SEEDS:
-        baseline[seed] = _train_arm(seed, True, str(root / f"base-{seed}"),
-                                    train, heldout, vocab, srcs, refs, base)
-        meta[seed] = _train_arm(seed, False, str(root / f"meta-{seed}"),
-                                train, heldout, vocab, srcs, refs, base)
+    arms = [(seed, fixed) for seed in SORT_SEEDS for fixed in (True, False)]
+    workers = min(2, os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"),
+                             initializer=warnings.filterwarnings,
+                             initargs=("ignore",)) as pool:
+        futures = [pool.submit(_train_arm, seed, fixed,
+                               str(root / f"{'base' if fixed else 'meta'}-{seed}"),
+                               train, heldout, vocab, srcs, refs, base)
+                   for seed, fixed in arms]
+        results = [f.result() for f in futures]
+    baseline = {r.seed: r for r in results if r.fixed_sqrt}
+    meta = {r.seed: r for r in results if not r.fixed_sqrt}
     return SortStudy(vocab=vocab, heldout=heldout, srcs=srcs, refs=refs,
                      base=base, baseline=baseline, meta=meta)

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import (EVAL_MBR, GEN_STEPS, SORT_E_CFG, SORT_S_CFG, SORT_SEEDS)
+from oracles import forward_diffuse_stepwise
 from tabledata import QQP_BLOCK, QQP_MEAN_RANK
 
 from skipdiff.checkpoint import save_checkpoint
 from skipdiff.cli import main as cli_main
 from skipdiff.data import SentencePair, encode_batch, generate_synthetic, synthetic_vocab
-from skipdiff.exploiter import (ExploiterConfig,
-                                embed_and_sample_z0, forward_diffuse,
-                                forward_diffuse_stepwise, generate_batch,
+from skipdiff.exploiter import (ExploiterConfig, embed_and_sample_z0,
+                                forward_diffuse, generate_batch,
                                 init_exploiter_params, mbr_select,
                                 params_checksum)
 from skipdiff.gradcheck import finite_diff_check

@@ -162,6 +162,15 @@ def test_evaluate_identity_scores_one(tmp_path, src_file):
     assert report["ROUGE-L"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("options", [[], ["--gen", "{src}"], ["--ref", "{src}"]],
+                         ids=["no-options", "gen-only", "ref-only"])
+def test_evaluate_needs_systems_or_gen_and_ref(src_file, capsys, options):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", *[option.format(src=src_file) for option in options])
+    assert exc.value.code == 2
+    assert "evaluate needs --systems, or both --gen and --ref" in capsys.readouterr().err
+
+
 def test_evaluate_misaligned_rejected(tmp_path, src_file):
     short = tmp_path / "short.jsonl"
     short.write_text('{"src": "a", "trg": "a"}\n')

@@ -86,7 +86,7 @@ PRIMITIVE_CASES = {
     "gather": lambda p: ad.sum_(ad.gather_rows(p["table"], np.array([[0, 2], [1, 1]])) ** 2.0),
     "select_last": lambda p: ad.sum_(ad.select_last(p["a"], np.array([0, 3, 1, 2])) * 3.0),
     "where": lambda p: ad.sum_(ad.where_mask(np.array([[True, False, True, False]] * 4), p["a"], p["b"]) * p["b"]),
-    "layer_norm": lambda p: ad.sum_(nn.layer_norm(p["a"], p["gain"], p["bias"]) * p["b"]),
+    "layer_norm": lambda p: ad.sum_(ad.layer_norm_op(p["a"], p["gain"], p["bias"]) * p["b"]),
     "gelu": lambda p: ad.sum_(nn.gelu(p["a"])),
     "attention": lambda p: ad.sum_(nn.attention(p["q"], p["k"], p["v"]) * p["q"]),
     "mse": lambda p: nn.masked_mse(p["a"], p["b"], np.array([[1.0, 0.0, 1.0, 1.0]] * 4)),

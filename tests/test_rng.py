@@ -1,6 +1,6 @@
 import numpy as np
 
-from skipdiff.rng import RngStream, sample_gaussian
+from skipdiff.rng import RngStream
 
 
 def test_replay_is_identical():
@@ -24,13 +24,13 @@ def test_position_semantics():
 
 
 def test_gaussian_moments():
-    draws = sample_gaussian((100_000,), RngStream(123))
+    draws = RngStream(123).normal((100_000,))
     assert abs(draws.mean()) < 0.02
     assert abs(draws.var() - 1.0) < 0.02
 
 
 def test_empty_shape():
-    out = sample_gaussian([0], RngStream(5))
+    out = RngStream(5).normal([0])
     assert out.shape == (0,)
 
 

@@ -5,8 +5,7 @@ from skipdiff.errors import ContractError, ParameterError
 from skipdiff.rng import RngStream
 from skipdiff.schedule import (ALPHA_CLAMP, BaseSchedule, MetaInstructions,
                                apply_skipping, build_sqrt_schedule,
-                               effective_noise_at, fixed_schedule,
-                               schedule_to_csv)
+                               fixed_schedule, schedule_to_csv)
 
 
 def synthetic_base(betas):
@@ -86,18 +85,25 @@ def test_pointer_trace():
     assert np.array_equal(out.alpha_bar_x, expected)
 
 
-def test_effective_noise_at():
-    base = build_sqrt_schedule(4)
-    out = apply_skipping(MetaInstructions([True, True, False, True]), base)
-    a3, b3 = effective_noise_at(out, 3)
-    assert a3 == out.alpha_bar_x[3]
-    assert b3 == 0.0
-    a2, b2 = effective_noise_at(out, 2)
-    assert b2 == pytest.approx(base.beta[2])
-    with pytest.raises(IndexError):
-        effective_noise_at(out, 0)
-    with pytest.raises(IndexError):
-        effective_noise_at(out, 5)
+def test_batch_rows_equal_one_row_calls():
+    base = build_sqrt_schedule(12)
+    bits = RngStream(7).bernoulli(0.5, (6, 12))
+    bits[0] = False  # all hold
+    bits[1] = True   # all advance
+    batch = apply_skipping(MetaInstructions(bits), base)
+    assert batch.steps == 12 and batch.pointer.shape == (6, 13)
+    for i, row in enumerate(bits):
+        one = apply_skipping(MetaInstructions(row), base)
+        for name in ("pointer", "alpha_bar_x", "beta_pointer", "beta_eff"):
+            assert np.array_equal(getattr(batch, name)[i], getattr(one, name),
+                                  equal_nan=True), (i, name)
+
+
+def test_instructions_must_be_one_or_two_dimensional():
+    with pytest.raises(ContractError):
+        MetaInstructions(np.ones((2, 3, 4), dtype=bool))
+    with pytest.raises(ContractError):
+        MetaInstructions(True)
 
 
 def test_final_pointer_counts_trues():
@@ -134,10 +140,14 @@ def test_length_preserved():
 
 def test_csv_export_shape():
     base = build_sqrt_schedule(3)
-    text = schedule_to_csv(fixed_schedule(base))
-    lines = text.strip().splitlines()
-    assert lines[0] == "t,pointer,beta_pointer,alpha_bar_x,beta_eff"
-    assert len(lines) == 4
+    bits = np.array([[True, True, True], [True, False, True]])
+    sched = apply_skipping(MetaInstructions(bits), base)
+    lines = schedule_to_csv(sched).strip().splitlines()
+    assert lines[0] == "sentence,t,pointer,beta_pointer,alpha_bar_x,beta_eff"
+    assert len(lines) == 1 + 2 * 3 + 3
     first = lines[1].split(",")
-    assert first[0] == "1" and first[1] == "1"
-    assert float(first[2]) == pytest.approx(base.beta[1])
+    assert first[:3] == ["0", "1", "1"]
+    assert float(first[3]) == pytest.approx(base.beta[1])
+    assert lines[5].split(",")[:3] == ["1", "2", "1"]
+    mean = lines[8].split(",")
+    assert mean[:2] == ["mean", "2"] and float(mean[2]) == 1.5

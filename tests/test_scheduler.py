@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import recompute_log_prob
 from skipdiff.data import synthetic_vocab
 from skipdiff.errors import ContractError, TruncationError
 from skipdiff.rng import RngStream
-from skipdiff.scheduler import (SchedulerConfig,
-                                add_grads, apply_update, encode_condition,
+from skipdiff.scheduler import (SchedulerConfig, add_grads, apply_update,
                                 init_scheduler_params, policy_gradient,
-                                recompute_log_prob, sample_instructions,
                                 sample_instructions_batch, zero_like_grads)
 
 VOCAB = synthetic_vocab(8)
@@ -21,24 +20,21 @@ def make(T=4, hidden=6, embed=4, bias=0.0, seed=1):
     return cfg, params
 
 
-def test_encode_condition_deterministic_shape():
-    cfg, params = make()
-    h1, c1 = encode_condition(params, ["w00", "w01"], VOCAB, cfg)
-    h2, c2 = encode_condition(params, ["w00", "w01"], VOCAB, cfg)
-    assert h1.shape == (cfg.hidden_dim,)
-    assert np.array_equal(h1, h2) and np.array_equal(c1, c2)
+def sample_instructions(params, src, vocab, cfg, rng=None, mode="stochastic"):
+    """The sample of a one-source batch."""
+    return sample_instructions_batch(params, [src], vocab, cfg, rng, mode).samples[0]
 
 
 def test_encode_condition_empty_rejected():
     cfg, params = make()
     with pytest.raises(ContractError):
-        encode_condition(params, [], VOCAB, cfg)
+        sample_instructions(params, [], VOCAB, cfg, mode="greedy")
 
 
 def test_encode_condition_overflow():
     cfg, params = make()
     with pytest.raises(TruncationError):
-        encode_condition(params, ["w00"] * 17, VOCAB, cfg)
+        sample_instructions(params, ["w00"] * 17, VOCAB, cfg, mode="greedy")
 
 
 def test_saturated_policy_all_true_zero_logprob():

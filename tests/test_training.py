@@ -6,6 +6,7 @@ import pytest
 
 from skipdiff import training
 from skipdiff.checkpoint import load_checkpoint
+from skipdiff.cli import main as cli_main
 from skipdiff.data import generate_synthetic, synthetic_vocab
 from skipdiff.errors import ConfigError, ContractError
 from skipdiff.exploiter import ExploiterConfig, init_exploiter_params, params_checksum
@@ -151,6 +152,43 @@ def test_meta_train_closes_log_when_a_step_raises(tmp_path, monkeypatch):
     assert [json.loads(line)["event"] for line in lines] == [
         "init", "exploration", "exploration", "scheduler_update"]
     assert len(opened) == 1 and opened[0].closed
+
+
+def test_meta_train_stops_at_first_non_finite_loss(tmp_path, monkeypatch, capsys):
+    losses = []
+    real_loss = training.diffusion_loss
+
+    def nan_on_third_call(*args, **kwargs):
+        loss, grads = real_loss(*args, **kwargs)
+        losses.append(float("nan") if len(losses) == 2 else loss)
+        return losses[-1], grads
+
+    steps = []
+    real_step = AdaptiveSGD.step
+
+    def counting_step(self, params, grads):
+        steps.append(grads)
+        return real_step(self, params, grads)
+
+    monkeypatch.setattr(training, "diffusion_loss", nan_on_third_call)
+    monkeypatch.setattr(AdaptiveSGD, "step", counting_step)
+    run = tmp_path / "run"
+    code = cli_main(["train", "--task", "copy", "--out", str(run), "--seed", "1",
+                     "--epochs", "3", "--T", "8", "--fixed-sqrt",
+                     "--set", "model_dim=16", "--set", "heads=2", "--set", "layers=1",
+                     "--set", "max_len=10", "--set", "vocab_size=6",
+                     "--set", "len_min=1", "--set", "len_max=3",
+                     "--set", "train_size=16", "--set", "heldout_size=4",
+                     "--set", "total_batch=8", "--set", "eval_every=0",
+                     "--set", "ffn_mult=2", "--set", "sched_hidden=8"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: non-finite loss nan at epoch 1, step 3\n"
+    assert len(losses) == 3 and len(steps) == 2
+    events = [json.loads(line) for line in (run / "log.jsonl").read_text().splitlines()]
+    assert [e["event"] for e in events] == ["init", "epoch", "error"]
+    assert events[-1]["epoch"] == 1 and events[-1]["step"] == 3
+    assert sorted(os.listdir(run / "checkpoints")) == ["exploiter-0.bin",
+                                                       "scheduler-0.bin"]
 
 
 def test_meta_train_empty_dataset_rejected(tmp_path):
