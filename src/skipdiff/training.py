@@ -90,6 +90,15 @@ class ExplorationResult:
     record: MetaRewardRecord
 
 
+class NonFiniteProbeLoss(ContractError):
+    """A probe's diffusion loss is NaN or infinite; ``e`` is its probe index."""
+
+    def __init__(self, loss: float):
+        super().__init__(f"non-finite probe loss {loss}")
+        self.loss = loss
+        self.e: int | None = None
+
+
 def _sentence_schedules(psi, srcs, vocab, s_cfg, base, rng, mode="stochastic",
                         record=False):
     batch = policy.sample_instructions_batch(psi, srcs, vocab, s_cfg, rng,
@@ -109,8 +118,10 @@ def exploration_epoch(theta: dict[str, np.ndarray], psi: dict[str, np.ndarray],
         psi, srcs, vocab, s_cfg, base, rng_e.fork("instructions"),
         mode="stochastic", record=True)
     encoded = encode_batch(minibatch, vocab, e_cfg.max_len)
-    _, grads = diffusion_loss(theta, encoded, schedules,
-                              rng_e.fork("probe-loss"), e_cfg)
+    loss, grads = diffusion_loss(theta, encoded, schedules,
+                                 rng_e.fork("probe-loss"), e_cfg)
+    if not np.isfinite(loss):
+        raise NonFiniteProbeLoss(loss)
     theta_probe = sgd_step(theta, grads, t_cfg.probe_lr)
     # identical noise for both generations so only the weights differ
     gen_before = generate_batch(theta, srcs, schedules, rng_e.fork("probe-gen"),
@@ -135,11 +146,15 @@ def scheduler_round(theta: dict[str, np.ndarray], psi: dict[str, np.ndarray],
     checksum = params_checksum(theta)
 
     def run(args):
-        batch, rng_e = args
-        return exploration_epoch(theta, psi, batch, vocab, base, rng_e,
-                                 e_cfg, s_cfg, t_cfg)
+        e, (batch, rng_e) = args
+        try:
+            return exploration_epoch(theta, psi, batch, vocab, base, rng_e,
+                                     e_cfg, s_cfg, t_cfg)
+        except NonFiniteProbeLoss as exc:
+            exc.e = e
+            raise
 
-    jobs = list(zip(minibatches, rngs))
+    jobs = list(enumerate(zip(minibatches, rngs)))
     if t_cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=t_cfg.threads) as pool:
             results = list(pool.map(run, jobs))
@@ -267,8 +282,15 @@ def meta_train(train_pairs: list[SentencePair], heldout_pairs: list[SentencePair
                     for e in range(t_cfg.exploration_epochs)]
                 rngs = [rng.fork("exploration", epoch, e)
                         for e in range(t_cfg.exploration_epochs)]
-                psi, records = scheduler_round(theta, psi, minibatches, vocab, base,
-                                               rngs, e_cfg, s_cfg, t_cfg)
+                try:
+                    psi, records = scheduler_round(theta, psi, minibatches, vocab,
+                                                   base, rngs, e_cfg, s_cfg, t_cfg)
+                except NonFiniteProbeLoss as exc:
+                    message = (f"non-finite probe loss {exc.loss} at epoch {epoch}, "
+                               f"round {round_idx}, probe {exc.e}")
+                    log({"event": "error", "epoch": epoch, "round": round_idx,
+                         "e": exc.e, "message": message})
+                    raise ContractError(message) from exc
                 for e, record in enumerate(records):
                     log({"event": "exploration", "epoch": epoch, "round": round_idx,
                          "e": e, "r_before": record.r_before,

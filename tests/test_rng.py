@@ -66,3 +66,19 @@ def test_bernoulli_rate():
 def test_shuffle_index_is_permutation():
     idx = RngStream(17).shuffle_index(50)
     assert sorted(idx.tolist()) == list(range(50))
+
+
+def test_draws_are_pinned_bit_for_bit():
+    # float.hex of draws recorded before the in-place Box-Muller rewrite;
+    # replay on any platform must reproduce them exactly
+    rng = RngStream(20241019)
+    assert [float(x).hex() for x in rng.normal((3,))] == [
+        "0x1.0b9c6b8fa9317p-2", "0x1.152342ec322d1p+0", "-0x1.6b25c4f58dd39p-1"]
+    assert [float(x).hex() for x in rng.uniform((3,))] == [
+        "0x1.390064d409046p-1", "0x1.b80af4ef69930p-3", "0x1.6388a07c36dc0p-1"]
+    assert rng.integers(0, 1000, (3,)).tolist() == [160, 255, 292]
+    assert rng.position == 9
+    child = rng.fork("epoch", 3)
+    assert child.seed == 0x4E214E6087A84689
+    assert [float(x).hex() for x in child.normal((2,))] == [
+        "-0x1.1494aba437e47p+1", "0x1.bdc5b9fb997c2p-6"]

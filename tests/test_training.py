@@ -191,6 +191,61 @@ def test_meta_train_stops_at_first_non_finite_loss(tmp_path, monkeypatch, capsys
                                                        "scheduler-0.bin"]
 
 
+def _nan_on_first_loss(monkeypatch):
+    """Make training.diffusion_loss return a NaN loss and NaN gradients on
+    its first call; returns the list of losses returned and of probe steps."""
+    losses, probe_steps = [], []
+    real_loss, real_sgd_step = training.diffusion_loss, training.sgd_step
+
+    def nan_on_first_call(*args, **kwargs):
+        loss, grads = real_loss(*args, **kwargs)
+        if not losses:
+            loss, grads = float("nan"), {k: np.full_like(g, np.nan)
+                                         for k, g in grads.items()}
+        losses.append(loss)
+        return loss, grads
+
+    def counting_sgd_step(*args):
+        probe_steps.append(args)
+        return real_sgd_step(*args)
+
+    monkeypatch.setattr(training, "diffusion_loss", nan_on_first_call)
+    monkeypatch.setattr(training, "sgd_step", counting_sgd_step)
+    return losses, probe_steps
+
+
+def test_meta_train_stops_at_non_finite_probe_loss(tmp_path, monkeypatch):
+    losses, probe_steps = _nan_on_first_loss(monkeypatch)
+    run = tmp_path / "run"
+    message = "non-finite probe loss nan at epoch 0, round 0, probe 0"
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        meta_train(pairs(8), [], VOCAB, str(run), E_CFG, S_CFG, t_cfg())
+    assert len(losses) == 1 and not probe_steps
+    events = [json.loads(line) for line in (run / "log.jsonl").read_text().splitlines()]
+    assert events == [events[0], {"event": "error", "epoch": 0, "round": 0, "e": 0,
+                                  "message": message}]
+    assert events[0]["event"] == "init"
+
+
+def test_cli_exits_2_on_non_finite_probe_loss(tmp_path, monkeypatch, capsys):
+    losses, probe_steps = _nan_on_first_loss(monkeypatch)
+    run = tmp_path / "run"
+    code = cli_main(["train", "--task", "copy", "--out", str(run), "--seed", "1",
+                     "--epochs", "2", "--T", "8",
+                     "--set", "model_dim=16", "--set", "heads=2", "--set", "layers=1",
+                     "--set", "max_len=10", "--set", "vocab_size=6",
+                     "--set", "len_min=1", "--set", "len_max=3",
+                     "--set", "train_size=16", "--set", "heldout_size=4",
+                     "--set", "total_batch=8", "--set", "eval_every=0",
+                     "--set", "ffn_mult=2", "--set", "sched_hidden=8"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: non-finite probe loss nan at epoch 0, round 0, probe 0\n")
+    assert len(losses) == 1 and not probe_steps
+    assert sorted(os.listdir(run / "checkpoints")) == ["exploiter-0.bin",
+                                                       "scheduler-0.bin"]
+
+
 def test_meta_train_empty_dataset_rejected(tmp_path):
     with pytest.raises(ConfigError):
         meta_train([], [], VOCAB, str(tmp_path / "run"), E_CFG, S_CFG, t_cfg())
