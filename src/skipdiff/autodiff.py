@@ -248,16 +248,9 @@ def pow_const(a: Tensor, exponent: float) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Smooth gelu (tanh form), fused as one node for speed."""
     x = a.data
-    # 0.5 * x * (1 + tanh(0.79788 * (x + 0.044715 * x**3))), operation by
-    # operation in the same order, on buffers owned here
-    th = np.multiply(x, x, out=np.empty_like(x))
-    th *= x
-    th *= 0.044715
-    th += x
-    th *= 0.7978845608028654
-    np.tanh(th, out=th)
-    out = x * 0.5
-    out *= th + 1.0
+    inner = 0.7978845608028654 * (x + 0.044715 * (x * x * x))
+    th = np.tanh(inner)
+    out = 0.5 * x * (1.0 + th)
 
     def bw(g):
         sech2 = 1.0 - th * th
@@ -269,12 +262,12 @@ def gelu(a: Tensor) -> Tensor:
 
 def layer_norm_op(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalization over the last axis with learnable gain and bias."""
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    out = xhat * xhat
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
-    xhat *= inv
-    np.multiply(xhat, gain.data, out=out)
-    out += bias.data
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = xhat * gain.data + bias.data
 
     def bw(g):
         gy = g * gain.data
@@ -364,9 +357,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-shifted softmax along one axis; rows sum to one."""
     if a.data.size == 0 or a.data.shape[axis] == 0:
         raise ShapeError("softmax over an empty axis")
-    out = a.data - a.data.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -453,9 +446,7 @@ def where_mask(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """
     mask_f = np.asarray(mask, dtype=np.float64)
     inv_f = 1.0 - mask_f
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape, mask_f.shape))
-    np.multiply(a.data, mask_f, out=out)
-    out += b.data * inv_f
+    out = a.data * mask_f + b.data * inv_f
 
     def bw(g):
         return ((a, _unbroadcast(g * mask_f, a.shape)),

@@ -25,14 +25,9 @@ _INV_2_53 = float(2.0 ** -53)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, computed in place: overwrites and returns ``z``."""
-    shifted = np.empty_like(z)
-    z ^= np.right_shift(z, np.uint64(30), out=shifted)
-    z *= _MIX1
-    z ^= np.right_shift(z, np.uint64(27), out=shifted)
-    z *= _MIX2
-    z ^= np.right_shift(z, np.uint64(31), out=shifted)
-    return z
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
 _M64 = 0xFFFFFFFFFFFFFFFF
@@ -75,27 +70,18 @@ class RngStream:
         return RngStream(_mix_scalar(h ^ 0x5AFE5EED))
 
     def _words(self, n: int, stream_const: np.uint64) -> np.ndarray:
-        z = np.arange(self.position, self.position + n, dtype=np.uint64)
-        z += np.uint64(1)
-        z *= _GOLDEN
-        z += np.uint64(self.seed)
-        z ^= stream_const
-        return _mix(z)
-
-    def _top53(self, n: int, stream_const: np.uint64) -> np.ndarray:
-        """The top 53 bits of n words as float64 integers in [0, 2**53)."""
-        words = self._words(n, stream_const)
-        words >>= np.uint64(11)
-        return words.astype(np.float64)
+        idx = np.arange(self.position, self.position + n, dtype=np.uint64)
+        base = np.uint64(self.seed) + (idx + np.uint64(1)) * _GOLDEN
+        return _mix(base ^ stream_const)
 
     def uniform(self, shape=None) -> np.ndarray | float:
         """Uniform draws in [0, 1); consumes one position per element."""
         scalar = shape is None
         shp = () if scalar else tuple(int(s) for s in (shape if hasattr(shape, "__iter__") else (shape,)))
         n = int(np.prod(shp)) if shp else 1
-        out = self._top53(n, _STREAM_A)
+        words = self._words(n, _STREAM_A)
         self.position += n
-        out *= _INV_2_53
+        out = (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
         return float(out[0]) if scalar else out.reshape(shp)
 
     def normal(self, shape) -> np.ndarray:
@@ -103,23 +89,16 @@ class RngStream:
         shp = tuple(int(s) for s in (shape if hasattr(shape, "__iter__") else (shape,)))
         n = int(np.prod(shp)) if shp else 1
         if n == 0:
+            self.position += 0
             return np.zeros(shp, dtype=np.float64)
-        # u1 in (0, 1] keeps log() finite; u2 in [0, 1). Each buffer is
-        # updated in place, with the operations of
-        # sqrt(-2 log u1) * cos(2 pi u2) in the same order.
-        u1 = self._top53(n, _STREAM_A)
-        u1 += 1.0
-        u1 *= _INV_2_53
-        np.log(u1, out=u1)
-        u1 *= -2.0
-        np.sqrt(u1, out=u1)
-        u2 = self._top53(n, _STREAM_B)
+        w1 = self._words(n, _STREAM_A)
+        w2 = self._words(n, _STREAM_B)
         self.position += n
-        u2 *= _INV_2_53
-        u2 *= 2.0 * math.pi
-        np.cos(u2, out=u2)
-        u1 *= u2
-        return u1.reshape(shp)
+        # u1 in (0, 1] keeps log() finite; u2 in [0, 1).
+        u1 = ((w1 >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+        u2 = (w2 >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        out = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        return out.reshape(shp)
 
     def integers(self, low: int, high: int, shape=None) -> np.ndarray | int:
         """Uniform integers in [low, high); one position per element."""
