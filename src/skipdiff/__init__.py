@@ -17,7 +17,7 @@ from .rng import RngStream
 from .schedule import (BaseSchedule, MetaInstructions, ScheduledNoise,
                        apply_skipping, build_sqrt_schedule, fixed_schedule)
 from .scheduler import (SchedulerConfig, apply_update, init_scheduler_params,
-                        policy_gradient, sample_instructions_batch)
+                        sample_instructions_batch)
 from .training import (MetaRewardRecord, TrainConfig, exploration_epoch,
                        meta_train, plug_and_play_generate, scheduler_round)
 

@@ -2,12 +2,15 @@
 
 Layout: 4-byte magic, u32 format version, u64 JSON header length, UTF-8
 JSON header, then named float64 little-endian weight blobs in header
-order. Weights round-trip bit-exactly.
+order. Weights round-trip bit-exactly. Saves replace the target file
+atomically; loads check every length against the file size.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,28 +51,51 @@ def save_checkpoint(path, kind: str, config: dict,
         "dataset": dataset_tag,
         "blobs": blobs,
     }, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        fh.write(bytes(payload))
+    # Write a temp file beside the target, then rename it over the target: a
+    # reader sees the old file or the whole new one, never a partial write.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            fh.write(bytes(payload))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    if len(raw) < 16:
+        raise ConfigError(f"{path}: truncated checkpoint ({len(raw)} bytes)")
+    version, header_len = struct.unpack_from("<IQ", raw, 4)
     if version != FORMAT_VERSION:
         raise ConfigError(f"{path}: unsupported format version {version}")
-    (header_len,) = struct.unpack_from("<Q", raw, 8)
-    header = json.loads(raw[16:16 + header_len].decode("utf-8"))
     base = 16 + header_len
+    if base > len(raw):
+        raise ConfigError(f"{path}: truncated checkpoint: header ends at byte "
+                          f"{base}, file has {len(raw)}")
+    try:
+        header = json.loads(raw[16:base].decode("utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: unreadable checkpoint header: {exc}") from exc
     params = {}
     for blob in header["blobs"]:
         start = base + blob["offset"]
-        arr = np.frombuffer(raw, dtype="<f8", count=blob["nbytes"] // 8,
+        nbytes = blob["nbytes"]
+        if nbytes != 8 * math.prod(blob["shape"]):
+            raise ConfigError(f"{path}: weight {blob['name']!r}: {nbytes} bytes "
+                              f"do not hold shape {blob['shape']}")
+        if start + nbytes > len(raw):
+            raise ConfigError(f"{path}: truncated checkpoint: weight "
+                              f"{blob['name']!r} ends at byte {start + nbytes}, "
+                              f"file has {len(raw)}")
+        arr = np.frombuffer(raw, dtype="<f8", count=nbytes // 8,
                             offset=start).reshape(blob["shape"])
         params[blob["name"]] = arr.copy()
     return Checkpoint(kind=header["kind"], config=header["config"],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -19,14 +20,13 @@ from .data import (SentencePair, Vocab, build_vocab, generate_synthetic,
                    load_jsonl, load_jsonl_fields, save_jsonl, synthetic_vocab)
 from .errors import ConfigError, ContractError, JsonlParseError, ParameterError, \
     ShapeError, TruncationError
-from .exploiter import ExploiterConfig
 from .metrics import (bleu, evaluate_corpus, mean_rank, rank_table_csv)
 from .rng import RngStream
-from .runconfig import (DEFAULTS, format_resolved, parse_config_file,
-                        parse_setting, resolve)
+from .runconfig import (DEFAULTS, build_configs, format_resolved,
+                        parse_config_file, parse_setting, resolve)
 from .schedule import apply_skipping, build_sqrt_schedule, schedule_to_csv
 from .scheduler import SchedulerConfig, sample_instructions_batch
-from .training import TrainConfig, meta_train, plug_and_play_generate
+from .training import meta_train, plug_and_play_generate
 
 USER_ERRORS = (ConfigError, ContractError, JsonlParseError, ParameterError,
                ShapeError, TruncationError, FileNotFoundError, ValueError)
@@ -61,37 +61,12 @@ def _build_corpus(cfg) -> tuple[list[SentencePair], list[SentencePair], Vocab]:
     return pairs[:cfg["train_size"]], pairs[cfg["train_size"]:], vocab
 
 
-def _configs_from(cfg):
-    e_cfg = ExploiterConfig(
-        layers=cfg["layers"], heads=cfg["heads"], model_dim=cfg["model_dim"],
-        steps=cfg["T"], max_len=cfg["max_len"], ffn_mult=cfg["ffn_mult"],
-        lambda_reg=cfg["lambda_reg"], rounding_loss=cfg["rounding_loss"],
-        emb_scale=cfg["emb_scale"], pos_scale=cfg["pos_scale"],
-        time_scale=cfg["time_scale"])
-    s_cfg = SchedulerConfig(
-        embed_dim=cfg["model_dim"], hidden_dim=cfg["sched_hidden"],
-        encoder_max_len=cfg["sched_max_len"], decoder_len=cfg["T"],
-        head_bias_init=cfg["head_bias_init"])
-    t_cfg = TrainConfig(
-        exploration_epochs=cfg["exploration_epochs"],
-        total_batch=cfg["total_batch"], scheduler_update_period=cfg["period"],
-        lr_exploiter=cfg["lr_exploiter"], lr_scheduler=cfg["lr_scheduler"],
-        probe_lr=cfg["probe_lr"], max_epochs=cfg["epochs"],
-        max_steps=cfg["max_steps"], seed=cfg["seed"], mbr_size=cfg["mbr"],
-        gen_steps=cfg["gen_steps"], reward_baseline=cfg["reward_baseline"],
-        eval_every=cfg["eval_every"], eval_mbr=cfg["eval_mbr"],
-        checkpoint_every=cfg["checkpoint_every"],
-        early_stop_patience=cfg["early_stop_patience"],
-        threads=cfg["threads"], fixed_sqrt=cfg["fixed_sqrt"])
-    return e_cfg, s_cfg, t_cfg
-
-
 def cmd_train(args) -> int:
     file_cfg = parse_config_file(args.config) if args.config else {}
     overrides = _flag_overrides(args)
     cfg = resolve(file_cfg, overrides)
     train, heldout, vocab = _build_corpus(cfg)
-    e_cfg, s_cfg, t_cfg = _configs_from(cfg)
+    e_cfg, s_cfg, t_cfg = build_configs(cfg)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "config.resolved"), format_resolved(cfg))
     tag = cfg["dataset_tag"] or (cfg["data"] or f"synthetic-{cfg['task']}")
@@ -141,14 +116,28 @@ def _load_systems_csv(path) -> dict[str, dict[str, float]]:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header[:3] != ["method", "metric", "value"]:
-            raise ConfigError(f"{path}: expected header method,metric,value")
-        for line in fh:
+            raise ConfigError(f"{path}:1: expected header method,metric,value")
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            method, metric, value = line.strip().split(",")[:3]
+            fields = line.strip().split(",")
+            if len(fields) < 3:
+                raise ConfigError(f"{path}:{lineno}: expected method,metric,value, "
+                                  f"got {line.strip()!r}")
+            method, metric, value = fields[:3]
             table.setdefault(method, {})[metric] = (None if value in ("", "-")
-                                                    else float(value))
+                                                    else _finite(value, path, lineno))
     return table
+
+
+def _finite(text: str, path, lineno: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}:{lineno}: value {text!r} is not a finite number")
+    return value
 
 
 def cmd_evaluate(args) -> int:

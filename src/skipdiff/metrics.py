@@ -183,6 +183,29 @@ def evaluate_corpus(hyps: list[list[str]], refs: list[list[str]]) -> MetricRepor
     return MetricReport(values)
 
 
+def _metric_ranks(table: dict[str, dict[str, float | None]],
+                  directions: dict[str, bool] | None) -> dict[str, dict[str, int]]:
+    """Each metric's rank per method that reports it (1 = best), metrics in
+    order of first appearance. Ties share the minimum rank of the group."""
+    directions = directions or {}
+    metrics: list[str] = []
+    for row in table.values():
+        for metric in row:
+            if metric not in metrics:
+                metrics.append(metric)
+    out: dict[str, dict[str, int]] = {}
+    for metric in metrics:
+        higher = directions.get(metric, HIGHER_BETTER.get(metric, True))
+        present = [(name, row[metric]) for name, row in table.items()
+                   if row.get(metric) is not None]
+        ordered = sorted(present, key=lambda kv: -kv[1] if higher else kv[1])
+        value_rank: dict[float, int] = {}
+        for pos, (_, value) in enumerate(ordered, start=1):
+            value_rank.setdefault(value, pos)  # ties take the minimum rank
+        out[metric] = {name: value_rank[value] for name, value in present}
+    return out
+
+
 def mean_rank(table: dict[str, dict[str, float | None]],
               directions: dict[str, bool] | None = None) -> dict[str, float]:
     """Average rank of each method across metrics (1 = best).
@@ -197,25 +220,10 @@ def mean_rank(table: dict[str, dict[str, float | None]],
                 raise ValueError(f"method {name!r} has no metric values")
             return {name: 1.0}
         raise ValueError("mean rank needs at least one method")
-    directions = directions or {}
-    metrics: list[str] = []
-    for row in table.values():
-        for metric in row:
-            if metric not in metrics:
-                metrics.append(metric)
     ranks: dict[str, list[float]] = {m: [] for m in table}
-    for metric in metrics:
-        higher = directions.get(metric, HIGHER_BETTER.get(metric, True))
-        present = [(name, row[metric]) for name, row in table.items()
-                   if row.get(metric) is not None]
-        if not present:
-            continue
-        ordered = sorted(present, key=lambda kv: -kv[1] if higher else kv[1])
-        value_rank: dict[float, int] = {}
-        for pos, (_, value) in enumerate(ordered, start=1):
-            value_rank.setdefault(value, pos)  # ties take the minimum rank
-        for name, value in present:
-            ranks[name].append(float(value_rank[value]))
+    for by_name in _metric_ranks(table, directions).values():
+        for name, rank in by_name.items():
+            ranks[name].append(float(rank))
     out = {}
     for name, rs in ranks.items():
         if not rs:
@@ -227,30 +235,13 @@ def mean_rank(table: dict[str, dict[str, float | None]],
 def rank_table_csv(table: dict[str, dict[str, float | None]],
                    directions: dict[str, bool] | None = None) -> str:
     """CSV export: method,metric,value,rank rows plus the Mean-Rank rows."""
-    directions = directions or {}
-    metrics: list[str] = []
-    for row in table.values():
-        for metric in row:
-            if metric not in metrics:
-                metrics.append(metric)
+    ranks = _metric_ranks(table, directions)
     buf = io.StringIO()
     buf.write("method,metric,value,rank\n")
-    per_metric_ranks: dict[str, dict[str, int]] = {}
-    for metric in metrics:
-        higher = directions.get(metric, HIGHER_BETTER.get(metric, True))
-        present = [(name, row[metric]) for name, row in table.items()
-                   if row.get(metric) is not None]
-        ordered = sorted(present, key=lambda kv: -kv[1] if higher else kv[1])
-        value_rank: dict[float, int] = {}
-        for pos, (_, value) in enumerate(ordered, start=1):
-            value_rank.setdefault(value, pos)
-        per_metric_ranks[metric] = {name: value_rank[value] for name, value in present}
     for name, row in table.items():
-        for metric in metrics:
-            value = row.get(metric)
-            if value is None:
-                continue
-            buf.write(f"{name},{metric},{float(value)!r},{per_metric_ranks[metric][name]}\n")
+        for metric, by_name in ranks.items():
+            if name in by_name:
+                buf.write(f"{name},{metric},{float(row[metric])!r},{by_name[name]}\n")
     for name, mr in mean_rank(table, directions).items():
         buf.write(f"{name},Mean-Rank,{mr!r},\n")
     return buf.getvalue()

@@ -5,13 +5,17 @@ mapping is persisted verbatim next to every training run.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .exploiter import ExploiterConfig
+from .scheduler import SchedulerConfig
+from .training import TrainConfig
 
-# Every tunable in the package, with its documented default.
-DEFAULTS: dict[str, object] = {
-    # data
+# Corpus keys: read by `cli._build_corpus`, not by a config object. Every
+# other key's default is the default of the config-dataclass field it sets.
+CORPUS_DEFAULTS: dict[str, object] = {
     "task": "copy",            # synthetic task: copy | reverse | sort
     "data": "",                # JSONL training corpus; empty = synthetic task
     "val_data": "",            # JSONL held-out corpus (with "data")
@@ -22,44 +26,41 @@ DEFAULTS: dict[str, object] = {
     "heldout_size": 64,        # synthetic held-out pairs
     "len_min": 3,              # synthetic source length range
     "len_max": 8,
-    "max_len": 32,             # encoded sequence length L
     "dataset_tag": "",         # provenance tag stored in checkpoints
-    # denoiser
-    "layers": 2,
-    "heads": 4,
-    "model_dim": 64,
-    "T": 64,                   # diffusion step count
-    "ffn_mult": 4,
-    "lambda_reg": 1.0,
-    "rounding_loss": True,
-    "emb_scale": 1.0,
-    "pos_scale": 0.5,
-    "time_scale": 0.1,
-    # noise policy
-    "sched_hidden": 32,
-    "sched_max_len": 128,
-    "head_bias_init": 3.0,
-    # training loop
-    "epochs": 50,
-    "max_steps": 0,
-    "total_batch": 32,
-    "exploration_epochs": 4,
-    "period": 10,              # denoiser epochs between policy rounds
-    "lr_exploiter": 1e-3,
-    "lr_scheduler": 0.1,
-    "probe_lr": 1e-3,
-    "reward_baseline": True,
-    "gen_steps": 16,           # shortened generation for rewards/eval
-    "eval_every": 10,
-    "eval_mbr": 1,
-    "checkpoint_every": 0,
-    "early_stop_patience": 0,
-    # generic
-    "mbr": 5,
-    "seed": 0,
-    "threads": 1,
-    "fixed_sqrt": False,
 }
+
+CONFIG_CLASSES = (ExploiterConfig, SchedulerConfig, TrainConfig)
+
+# Keys named differently from the field(s) they set; any other field's key
+# is its own name. The fields one key sets have equal defaults.
+RENAMED_KEYS: dict[str, tuple[str, ...]] = {
+    "T": ("steps", "decoder_len"),           # diffusion step count
+    "model_dim": ("model_dim", "embed_dim"),
+    "sched_hidden": ("hidden_dim",),
+    "sched_max_len": ("encoder_max_len",),
+    "period": ("scheduler_update_period",),  # denoiser epochs between rounds
+    "epochs": ("max_epochs",),
+    "mbr": ("mbr_size",),
+}
+_KEY_OF = {name: key for key, names in RENAMED_KEYS.items() for name in names}
+
+
+def _key(field_name: str) -> str:
+    return _KEY_OF.get(field_name, field_name)
+
+
+# Every tunable in the package, with its default.
+DEFAULTS: dict[str, object] = {
+    **CORPUS_DEFAULTS,
+    **{_key(f.name): f.default for cls in CONFIG_CLASSES for f in fields(cls)},
+}
+
+
+def build_configs(config: dict[str, object]
+                  ) -> tuple[ExploiterConfig, SchedulerConfig, TrainConfig]:
+    """The exploiter, scheduler and training configs a resolved mapping sets."""
+    return tuple(cls(**{f.name: config[_key(f.name)] for f in fields(cls)})
+                 for cls in CONFIG_CLASSES)
 
 
 def _coerce(key: str, raw: str, where: str) -> object:

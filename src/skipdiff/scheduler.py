@@ -64,38 +64,20 @@ def init_scheduler_params(cfg: SchedulerConfig, vocab_size: int,
 
 
 @dataclass
-class InstructionSample:
-    """One sampled instruction sequence and its policy log-probability."""
-
-    instructions: MetaInstructions
-    per_step_probs: np.ndarray
-    log_prob: float
-    _batch: "InstructionBatch | None" = None
-    _row: int = -1
-
-
-@dataclass
 class InstructionBatch:
-    """A minibatch of samples sharing one recording tape."""
+    """One policy rollout over a minibatch of sources."""
 
-    instructions: MetaInstructions   # [B, T]
-    samples: list[InstructionSample]
-    tape: Tape | None
-    leaves: dict[str, Tensor] | None
-    row_log_prob: Tensor | None   # [B]
-    params_ref: int
+    instructions: MetaInstructions   # [B, T] sampled bits
+    probs: np.ndarray                # [B, T] per-step True probabilities
+    row_log_prob: Tensor             # [B] log-probability of each row's bits
+    tape: Tape | None                # recording tape; None when unrecorded
+    leaves: dict[str, Tensor] | None  # the policy weights as leaves of ``tape``
 
     def score_gradients(self) -> dict[str, np.ndarray]:
         """Gradients of the summed log-probability w.r.t. the policy weights."""
         if self.tape is None:
             raise ContractError("batch was sampled without tape recording")
         grads = backward(self.tape, sum_(self.row_log_prob))
-        return {name: grads[leaf.node_id] for name, leaf in self.leaves.items()}
-
-    def row_score_gradients(self, row: int) -> dict[str, np.ndarray]:
-        if self.tape is None:
-            raise ContractError("batch was sampled without tape recording")
-        grads = backward(self.tape, sum_(self.row_log_prob[row:row + 1]))
         return {name: grads[leaf.node_id] for name, leaf in self.leaves.items()}
 
 
@@ -136,7 +118,7 @@ def sample_instructions_batch(params, srcs: list[list[str]], vocab: Vocab,
     Stochastic mode draws each bit from its Bernoulli; greedy mode
     thresholds the probability at one half and never touches ``rng``.
     ``record`` (default: only in stochastic mode) keeps the log-probability
-    graph alive for policy gradients.
+    graph alive for ``score_gradients()``.
     """
     if mode not in ("stochastic", "greedy"):
         raise ParameterError(f"unknown sampling mode {mode!r}")
@@ -171,16 +153,9 @@ def sample_instructions_batch(params, srcs: list[list[str]], vocab: Vocab,
         term = where_mask(bits, neg(softplus(neg(logit))), neg(softplus(logit)))
         log_prob_rows = log_prob_rows + term
         x = gather_rows(pt["inst_emb"], bits.astype(np.int64))
-    batch = InstructionBatch(instructions=MetaInstructions(bits_all), samples=[],
-                             tape=tape, leaves=pt if record else None,
-                             row_log_prob=log_prob_rows, params_ref=id(params))
-    for i in range(b):
-        batch.samples.append(InstructionSample(
-            instructions=MetaInstructions(bits_all[i]),
-            per_step_probs=probs_all[i].copy(),
-            log_prob=float(log_prob_rows.data[i]),
-            _batch=batch, _row=i))
-    return batch
+    return InstructionBatch(instructions=MetaInstructions(bits_all),
+                            probs=probs_all, row_log_prob=log_prob_rows,
+                            tape=tape, leaves=pt if record else None)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -191,19 +166,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 def _as_table(vector: Tensor) -> Tensor:
     """View a vector as a one-row table for gather-based broadcast."""
     return reshape(vector, (1, vector.shape[0]))
-
-
-def policy_gradient(params, sample: InstructionSample,
-                    reward: float) -> dict[str, np.ndarray]:
-    """Score-function estimator: reward times the log-probability gradient."""
-    batch = sample._batch
-    if batch is None or batch.tape is None:
-        raise ContractError("sample carries no recorded tape")
-    if batch.params_ref != id(params):
-        raise ContractError("stale tape: sample was drawn from a different "
-                            "parameter snapshot")
-    score = batch.row_score_gradients(sample._row)
-    return {name: reward * g for name, g in score.items()}
 
 
 def apply_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],

@@ -10,7 +10,6 @@ from skipdiff.autodiff import const, where_mask
 from skipdiff.exploiter import ExploiterConfig, LatentState, _assert_anchored
 from skipdiff.rng import RngStream
 from skipdiff.schedule import ScheduledNoise
-from skipdiff.scheduler import InstructionSample
 
 
 def forward_diffuse_stepwise(state: LatentState, t: int, schedule: ScheduledNoise,
@@ -34,14 +33,14 @@ def forward_diffuse_stepwise(state: LatentState, t: int, schedule: ScheduledNois
     z_t = where_mask(state.canvas_mask[..., None], const(x), state.anchor)
     out = LatentState(z=z_t, t=np.full(b, t, dtype=np.int64),
                       condition_mask=state.condition_mask,
-                      pad_mask=state.pad_mask, anchor=state.anchor, z0=state.z)
+                      pad_mask=state.pad_mask, anchor=state.anchor)
     _assert_anchored(out)
     return out
 
 
-def recompute_log_prob(sample: InstructionSample) -> float:
-    """Direct re-evaluation of the log-probability from probabilities."""
+def recompute_log_prob(bits: np.ndarray, probs: np.ndarray) -> float:
+    """Direct re-evaluation of one row's log-probability from its probabilities."""
     total = 0.0
-    for bit, p in zip(sample.instructions.bits, sample.per_step_probs):
+    for bit, p in zip(bits, probs):
         total += np.log(p) if bit else np.log1p(-p)
     return float(total)

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from bandit import bandit_run
 from conftest import (EVAL_MBR, GEN_STEPS, SORT_E_CFG, SORT_S_CFG, SORT_SEEDS)
 from oracles import forward_diffuse_stepwise
 from tabledata import QQP_BLOCK, QQP_MEAN_RANK
@@ -24,9 +25,7 @@ from skipdiff.metrics import (bleu, corpus_bleu, dist_1, mean_rank, rouge_l,
 from skipdiff.rng import RngStream
 from skipdiff.schedule import (BaseSchedule, MetaInstructions, apply_skipping,
                                build_sqrt_schedule, fixed_schedule)
-from skipdiff.scheduler import (SchedulerConfig, add_grads, apply_update,
-                                init_scheduler_params, policy_gradient,
-                                sample_instructions_batch, zero_like_grads)
+from skipdiff.scheduler import SchedulerConfig, init_scheduler_params
 from skipdiff.training import (TrainConfig, generate_with_mbr, meta_train,
                                plug_and_play_generate, scheduler_round)
 
@@ -185,37 +184,13 @@ def test_partial_noise_invariant(tmp_path):
 
 # 6 ------------------------------------------------------------------------
 
-def _bandit_run(reward_fn, seed, updates=50, lr=0.1, steps=8, batch=16):
-    cfg = SchedulerConfig(embed_dim=4, hidden_dim=6, encoder_max_len=8,
-                          decoder_len=steps, head_bias_init=0.0)
-    vocab = synthetic_vocab(8)
-    params = init_scheduler_params(cfg, len(vocab), RngStream(1234))
-    rng = RngStream(seed)
-    src = ["w00", "w01"]
-    first = None
-    for step in range(updates):
-        b = sample_instructions_batch(params, [src] * batch, vocab, cfg,
-                                      rng.fork("u", step), "stochastic")
-        if first is None:
-            first = float(np.mean([s.per_step_probs.mean() for s in b.samples]))
-        total = zero_like_grads(params)
-        for s in b.samples:
-            total = add_grads(total, policy_gradient(params, s, reward_fn(s.instructions.bits)),
-                              1.0 / batch)
-        params = apply_update(params, total, lr)
-    final_batch = sample_instructions_batch(params, [src] * batch, vocab, cfg,
-                                            rng.fork("final"), "stochastic")
-    final = float(np.mean([s.per_step_probs.mean() for s in final_batch.samples]))
-    return first, final
-
-
 def test_reinforce_sign_check():
     t0 = time.perf_counter()
     rises, falls = [], []
     for seed in range(5):
-        f_up, l_up = _bandit_run(lambda bits: float(bits.mean()), seed)
+        f_up, l_up = bandit_run(lambda bits: float(bits.mean()), seed)
         rises.append(l_up - f_up)
-        f_dn, l_dn = _bandit_run(lambda bits: float(1.0 - bits.mean()), seed)
+        f_dn, l_dn = bandit_run(lambda bits: float(1.0 - bits.mean()), seed)
         falls.append(l_dn - f_dn)
     elapsed = time.perf_counter() - t0
     ok = all(r >= 0.2 for r in rises) and all(f <= -0.2 for f in falls) \

@@ -222,6 +222,14 @@ def test_evaluate_systems_reproduces_published_ranks(tmp_path, capsys):
     assert rank_csv.exists()
 
 
+@pytest.mark.parametrize("row", ["good,BLEU", "good,BLEU,abc", "good,BLEU,nan"])
+def test_systems_csv_errors_name_file_and_line(tmp_path, capsys, row):
+    csv_path = tmp_path / "systems.csv"
+    csv_path.write_text(f"method,metric,value\nbad,BLEU,0.5\n\n{row}\n")
+    assert run_cli("evaluate", "--systems", str(csv_path)) == 2
+    assert f"error: {csv_path}:4: " in capsys.readouterr().err
+
+
 def test_evaluate_two_system_dominance(tmp_path, capsys):
     csv_path = tmp_path / "two.csv"
     csv_path.write_text("method,metric,value\n"

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from bandit import bandit_run, reinforce_gradients
 from oracles import recompute_log_prob
 from skipdiff.data import synthetic_vocab
 from skipdiff.errors import ContractError, TruncationError
 from skipdiff.rng import RngStream
-from skipdiff.scheduler import (SchedulerConfig, add_grads, apply_update,
-                                init_scheduler_params, policy_gradient,
+from skipdiff.scheduler import (SchedulerConfig, apply_update,
+                                init_scheduler_params,
                                 sample_instructions_batch, zero_like_grads)
 
 VOCAB = synthetic_vocab(8)
@@ -21,8 +22,8 @@ def make(T=4, hidden=6, embed=4, bias=0.0, seed=1):
 
 
 def sample_instructions(params, src, vocab, cfg, rng=None, mode="stochastic"):
-    """The sample of a one-source batch."""
-    return sample_instructions_batch(params, [src], vocab, cfg, rng, mode).samples[0]
+    """The rollout of a one-source batch."""
+    return sample_instructions_batch(params, [src], vocab, cfg, rng, mode)
 
 
 def test_encode_condition_empty_rejected():
@@ -41,20 +42,20 @@ def test_saturated_policy_all_true_zero_logprob():
     cfg, params = make(T=6)
     params["head.w"] = np.zeros_like(params["head.w"])
     params["head.b"] = np.full(1, 1000.0)
-    sample = sample_instructions(params, ["w00"], VOCAB, cfg,
-                                 RngStream(3), mode="stochastic")
-    assert sample.instructions.bits.all()
-    assert sample.log_prob == 0.0
+    batch = sample_instructions(params, ["w00"], VOCAB, cfg,
+                                RngStream(3), mode="stochastic")
+    assert batch.instructions.bits.all()
+    assert batch.row_log_prob.data[0] == 0.0
 
 
 def test_uniform_policy_logprob_closed_form():
     cfg, params = make(T=4)
     params["head.w"] = np.zeros_like(params["head.w"])
     params["head.b"] = np.zeros(1)
-    sample = sample_instructions(params, ["w01"], VOCAB, cfg,
-                                 RngStream(5), mode="stochastic")
-    assert np.allclose(sample.per_step_probs, 0.5)
-    assert sample.log_prob == pytest.approx(4 * np.log(0.5), abs=1e-12)
+    batch = sample_instructions(params, ["w01"], VOCAB, cfg,
+                                RngStream(5), mode="stochastic")
+    assert np.allclose(batch.probs, 0.5)
+    assert batch.row_log_prob.data[0] == pytest.approx(4 * np.log(0.5), abs=1e-12)
 
 
 def test_greedy_mode_needs_no_rng():
@@ -64,15 +65,19 @@ def test_greedy_mode_needs_no_rng():
     b = sample_instructions(params, ["w02", "w03"], VOCAB, cfg,
                             rng=None, mode="greedy")
     assert np.array_equal(a.instructions.bits, b.instructions.bits)
-    assert np.array_equal(a.instructions.bits, a.per_step_probs >= 0.5)
+    assert np.array_equal(a.instructions.bits, a.probs >= 0.5)
 
 
 def test_logprob_consistency_invariant():
     cfg, params = make(T=12, bias=0.7)
+    srcs = [["w04", "w00"], ["w01"], ["w02", "w03", "w05"]]
     for seed in range(5):
-        sample = sample_instructions(params, ["w04", "w00"], VOCAB, cfg,
-                                     RngStream(seed), mode="stochastic")
-        assert sample.log_prob == pytest.approx(recompute_log_prob(sample), abs=1e-9)
+        batch = sample_instructions_batch(params, srcs, VOCAB, cfg,
+                                          RngStream(seed), "stochastic")
+        for row in range(len(srcs)):
+            assert batch.row_log_prob.data[row] == pytest.approx(
+                recompute_log_prob(batch.instructions.bits[row], batch.probs[row]),
+                abs=1e-9)
 
 
 def test_stochastic_determinism_given_stream():
@@ -80,52 +85,44 @@ def test_stochastic_determinism_given_stream():
     a = sample_instructions(params, ["w05"], VOCAB, cfg, RngStream(9))
     b = sample_instructions(params, ["w05"], VOCAB, cfg, RngStream(9))
     assert np.array_equal(a.instructions.bits, b.instructions.bits)
-    assert a.log_prob == b.log_prob
+    assert np.array_equal(a.row_log_prob.data, b.row_log_prob.data)
 
 
-def test_policy_gradient_zero_reward():
+def test_score_gradients_require_tape():
     cfg, params = make()
-    sample = sample_instructions(params, ["w00"], VOCAB, cfg, RngStream(1))
-    grads = policy_gradient(params, sample, 0.0)
-    assert all(np.all(g == 0) for g in grads.values())
-
-
-def test_policy_gradient_linear_in_reward():
-    cfg, params = make()
-    sample = sample_instructions(params, ["w00"], VOCAB, cfg, RngStream(2))
-    g1 = policy_gradient(params, sample, 0.5)
-    g2 = policy_gradient(params, sample, 1.0)
-    for name in g1:
-        assert np.array_equal(g2[name], 2.0 * g1[name])
-
-
-def test_policy_gradient_stale_params_rejected():
-    cfg, params = make()
-    sample = sample_instructions(params, ["w00"], VOCAB, cfg, RngStream(2))
-    other = {k: v.copy() for k, v in params.items()}
+    batch = sample_instructions(params, ["w00"], VOCAB, cfg, rng=None,
+                                mode="greedy")
     with pytest.raises(ContractError):
-        policy_gradient(other, sample, 1.0)
-
-
-def test_policy_gradient_requires_tape():
-    cfg, params = make()
-    sample = sample_instructions(params, ["w00"], VOCAB, cfg, rng=None,
-                                 mode="greedy")
-    with pytest.raises(ContractError):
-        policy_gradient(params, sample, 1.0)
+        batch.score_gradients()
 
 
 def test_score_function_matches_analytic_bernoulli():
     # With zero decoder input weights the logit is b + w.h(const), so
-    # d log p / d b = sum_t (bit_t - p_t): the classic score function.
+    # d log p / d b = sum_t (bit_t - p_t): the classic score function,
+    # summed over the rows of the batch.
     cfg, params = make(T=6)
     params["dec.wx"] = np.zeros_like(params["dec.wx"])  # freeze input feedback
-    sample = sample_instructions(params, ["w01", "w02"], VOCAB, cfg, RngStream(7))
-    reward = 0.83
-    grads = policy_gradient(params, sample, reward)
-    expected = reward * np.sum(sample.instructions.bits.astype(float)
-                               - sample.per_step_probs)
+    batch = sample_instructions_batch(params, [["w01", "w02"], ["w03"]], VOCAB,
+                                      cfg, RngStream(7), "stochastic")
+    grads = batch.score_gradients()
+    expected = np.sum(batch.instructions.bits.astype(float) - batch.probs)
     assert grads["head.b"][0] == pytest.approx(expected, abs=1e-8)
+
+
+def test_reinforce_gradients_scale_with_reward():
+    # Four rows: weighting each by reward / 4 scales by powers of two only,
+    # so the estimates are exact multiples of the score gradient.
+    cfg, params = make()
+    batch = sample_instructions_batch(params, [["w00"]] * 4, VOCAB, cfg,
+                                      RngStream(2), "stochastic")
+    score = batch.score_gradients()
+    zero = reinforce_gradients(batch, [0.0] * 4)
+    half = reinforce_gradients(batch, [0.5] * 4)
+    one = reinforce_gradients(batch, [1.0] * 4)
+    for name in score:
+        assert np.all(zero[name] == 0)
+        assert np.array_equal(one[name], score[name] / 4)
+        assert np.array_equal(one[name], 2.0 * half[name])
 
 
 def test_apply_update_identities():
@@ -134,8 +131,8 @@ def test_apply_update_identities():
     updated = apply_update(params, zero, lr=0.5)
     for name in params:
         assert np.array_equal(updated[name], params[name])
-    sample = sample_instructions(params, ["w00"], VOCAB, cfg, RngStream(4))
-    grads = policy_gradient(params, sample, 1.0)
+    grads = sample_instructions(params, ["w00"], VOCAB, cfg,
+                                RngStream(4)).score_gradients()
     frozen = apply_update(params, grads, lr=0.0)
     for name in params:
         assert np.array_equal(frozen[name], params[name])
@@ -143,38 +140,15 @@ def test_apply_update_identities():
 
 def test_apply_update_moves_up_reward_gradient():
     cfg, params = make()
-    sample = sample_instructions(params, ["w00"], VOCAB, cfg, RngStream(4))
-    grads = policy_gradient(params, sample, 1.0)
+    grads = sample_instructions(params, ["w00"], VOCAB, cfg,
+                                RngStream(4)).score_gradients()
     updated = apply_update(params, grads, lr=0.1)
     assert any(not np.array_equal(updated[n], params[n]) for n in params)
 
 
-def bandit_run(reward_fn, updates=50, lr=0.1, T=8, seed=0, batch=16):
-    cfg = SchedulerConfig(embed_dim=4, hidden_dim=6, encoder_max_len=8,
-                          decoder_len=T, head_bias_init=0.0)
-    params = init_scheduler_params(cfg, len(VOCAB), RngStream(1234))
-    rng = RngStream(seed)
-    src = ["w00", "w01"]
-    first_mean = None
-    for step in range(updates):
-        b = sample_instructions_batch(params, [src] * batch, VOCAB, cfg,
-                                      rng.fork("u", step), "stochastic")
-        if first_mean is None:
-            first_mean = float(np.mean([s.per_step_probs.mean() for s in b.samples]))
-        total = zero_like_grads(params)
-        for s in b.samples:
-            r = reward_fn(s.instructions.bits)
-            total = add_grads(total, policy_gradient(params, s, r), 1.0 / batch)
-        params = apply_update(params, total, lr)
-    final = sample_instructions_batch(params, [src] * batch, VOCAB, cfg,
-                                      rng.fork("final"), "stochastic")
-    final_mean = float(np.mean([s.per_step_probs.mean() for s in final.samples]))
-    return first_mean, final_mean
-
-
 def test_bandit_smoke_single_seed():
     # Full five-seed version runs in the acceptance suite.
-    first, final = bandit_run(lambda bits: bits.mean(), seed=0)
+    first, final = bandit_run(lambda bits: float(bits.mean()), seed=0)
     assert final > first + 0.2
-    first_n, final_n = bandit_run(lambda bits: 1.0 - bits.mean(), seed=0)
+    first_n, final_n = bandit_run(lambda bits: float(1.0 - bits.mean()), seed=0)
     assert final_n < first_n - 0.2
