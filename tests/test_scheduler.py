@@ -109,18 +109,24 @@ def test_score_function_matches_analytic_bernoulli():
     assert grads["head.b"][0] == pytest.approx(expected, abs=1e-8)
 
 
-def test_reinforce_gradients_scale_with_reward():
+def test_policy_gradient_zero_reward():
+    cfg, params = make()
+    batch = sample_instructions_batch(params, [["w00"]] * 4, VOCAB, cfg,
+                                      RngStream(1), "stochastic")
+    grads = reinforce_gradients(batch, [0.0] * 4)
+    assert all(np.all(g == 0) for g in grads.values())
+
+
+def test_policy_gradient_linear_in_reward():
     # Four rows: weighting each by reward / 4 scales by powers of two only,
     # so the estimates are exact multiples of the score gradient.
     cfg, params = make()
     batch = sample_instructions_batch(params, [["w00"]] * 4, VOCAB, cfg,
                                       RngStream(2), "stochastic")
     score = batch.score_gradients()
-    zero = reinforce_gradients(batch, [0.0] * 4)
     half = reinforce_gradients(batch, [0.5] * 4)
     one = reinforce_gradients(batch, [1.0] * 4)
     for name in score:
-        assert np.all(zero[name] == 0)
         assert np.array_equal(one[name], score[name] / 4)
         assert np.array_equal(one[name], 2.0 * half[name])
 
