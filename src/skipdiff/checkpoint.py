@@ -3,7 +3,8 @@
 Layout: 4-byte magic, u32 format version, u64 JSON header length, UTF-8
 JSON header, then named float64 little-endian weight blobs in header
 order. Weights round-trip bit-exactly. Saves replace the target file
-atomically; loads check every length against the file size.
+atomically; loads check the header's keys and value types, and every length
+against the file size.
 """
 
 from __future__ import annotations
@@ -67,6 +68,29 @@ def save_checkpoint(path, kind: str, config: dict,
             os.unlink(tmp)
 
 
+# The header's keys and the exact JSON type of each value.
+_HEADER = {"kind": str, "config": dict, "vocab": list, "dataset": str, "blobs": list}
+_BLOB = {"name": str, "shape": list, "offset": int, "nbytes": int}
+
+
+def _check_header(path, header) -> None:
+    if type(header) is not dict:
+        raise ConfigError(f"{path}: checkpoint header is not a JSON object")
+    for key, kind in _HEADER.items():
+        if type(header.get(key)) is not kind:
+            raise ConfigError(f"{path}: checkpoint header needs {key!r} as a "
+                              f"{kind.__name__}, got {header.get(key)!r:.60}")
+    if not all(type(token) is str for token in header["vocab"]):
+        raise ConfigError(f"{path}: checkpoint vocabulary holds a non-string")
+    for i, blob in enumerate(header["blobs"]):
+        if (type(blob) is not dict
+                or any(type(blob.get(k)) is not t for k, t in _BLOB.items())
+                or not all(type(d) is int and d >= 0 for d in blob["shape"])
+                or blob["offset"] < 0 or blob["nbytes"] < 0):
+            raise ConfigError(f"{path}: checkpoint blob {i} is not a name, a shape "
+                              f"of sizes, an offset and a byte count: {blob!r:.80}")
+
+
 def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
@@ -84,6 +108,7 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[16:base].decode("utf-8"))
     except ValueError as exc:
         raise ConfigError(f"{path}: unreadable checkpoint header: {exc}") from exc
+    _check_header(path, header)
     params = {}
     for blob in header["blobs"]:
         start = base + blob["offset"]

@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
 from .data import (SentencePair, Vocab, build_vocab, generate_synthetic,
                    load_jsonl, load_jsonl_fields, save_jsonl, synthetic_vocab)
 from .errors import ConfigError, ContractError, JsonlParseError, ParameterError, \
@@ -25,8 +24,8 @@ from .rng import RngStream
 from .runconfig import (DEFAULTS, build_configs, format_resolved,
                         parse_config_file, parse_setting, resolve)
 from .schedule import apply_skipping, build_sqrt_schedule, schedule_to_csv
-from .scheduler import SchedulerConfig, sample_instructions_batch
-from .training import meta_train, plug_and_play_generate
+from .scheduler import sample_instructions_batch
+from .training import load_model, meta_train, plug_and_play_generate
 
 USER_ERRORS = (ConfigError, ContractError, JsonlParseError, ParameterError,
                ShapeError, TruncationError, FileNotFoundError, ValueError)
@@ -162,10 +161,7 @@ def cmd_evaluate(args) -> int:
 
 def _greedy_schedules(ckpt_path, srcs):
     """The policy's greedy schedules for ``srcs``, one row per source."""
-    ckpt = load_checkpoint(ckpt_path)
-    if ckpt.kind != "scheduler":
-        raise ConfigError(f"{ckpt_path} is not a scheduler checkpoint")
-    s_cfg = SchedulerConfig.from_dict(ckpt.config)
+    ckpt, s_cfg = load_model(ckpt_path, "scheduler")
     vocab = Vocab(ckpt.vocab_tokens)
     batch = sample_instructions_batch(ckpt.params, srcs, vocab, s_cfg,
                                       None, mode="greedy")

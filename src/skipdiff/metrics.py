@@ -27,22 +27,30 @@ HIGHER_BETTER = {
 }
 
 
-def _ngrams(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def ngram_counts(tokens) -> list[Counter]:
+    """The n-gram counts of one sentence, one Counter per order 1..MAX_ORDER."""
+    return [Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+            for n in range(1, MAX_ORDER + 1)]
 
 
-def _clipped_matches(hyp, refs, n: int) -> tuple[int, int]:
-    hyp_counts = _ngrams(hyp, n)
-    total = max(len(hyp) - n + 1, 0)
-    if not hyp_counts:
-        return 0, total
-    best: Counter = Counter()
+def _best_counts(refs) -> list[Counter]:
+    """Per order, each n-gram's largest count over the references."""
+    best = [Counter() for _ in range(MAX_ORDER)]
     for ref in refs:
-        for gram, count in _ngrams(ref, n).items():
-            if count > best[gram]:
-                best[gram] = count
-    matches = sum(min(count, best[gram]) for gram, count in hyp_counts.items())
-    return matches, total
+        for table, counts in zip(best, ngram_counts(ref)):
+            for gram, count in counts.items():
+                if count > table[gram]:
+                    table[gram] = count
+    return best
+
+
+def _clipped_stats(hyp_counts, hyp_len: int, ref_counts) -> tuple[list[int], list[int]]:
+    """Clipped n-gram matches and n-gram totals per order. ``ref_counts``
+    maps each of the hypothesis's n-grams to its reference count."""
+    matches = [sum(min(count, ref.get(gram, 0)) for gram, count in hyp.items())
+               for hyp, ref in zip(hyp_counts, ref_counts)]
+    totals = [max(hyp_len - n, 0) for n in range(MAX_ORDER)]
+    return matches, totals
 
 
 def _closest_ref_length(hyp_len: int, refs) -> int:
@@ -64,6 +72,13 @@ def _bleu_from_stats(matches, totals, hyp_len: int, ref_len: int) -> float:
     return math.exp(log_sum / MAX_ORDER) * bp
 
 
+def bleu_from_counts(hyp_counts, hyp_len: int, ref_counts, ref_len: int) -> float:
+    """Sentence BLEU from ``ngram_counts`` of a nonempty hypothesis and the
+    reference n-gram counts and length it is scored against."""
+    matches, totals = _clipped_stats(hyp_counts, hyp_len, ref_counts)
+    return _bleu_from_stats(matches, totals, hyp_len, ref_len)
+
+
 def bleu(hyp: list[str], refs: list[list[str]]) -> float:
     """Smoothed sentence BLEU of one hypothesis against one or more references."""
     if not refs or any(len(r) == 0 for r in refs):
@@ -71,12 +86,8 @@ def bleu(hyp: list[str], refs: list[list[str]]) -> float:
     if len(hyp) == 0:
         warnings.warn("empty hypothesis scores 0", stacklevel=2)
         return 0.0
-    matches, totals = [], []
-    for n in range(1, MAX_ORDER + 1):
-        m, t = _clipped_matches(hyp, refs, n)
-        matches.append(m)
-        totals.append(t)
-    return _bleu_from_stats(matches, totals, len(hyp), _closest_ref_length(len(hyp), refs))
+    return bleu_from_counts(ngram_counts(hyp), len(hyp), _best_counts(refs),
+                            _closest_ref_length(len(hyp), refs))
 
 
 def corpus_bleu(hyps: list[list[str]], refs: list[list[list[str]]]) -> float:
@@ -96,26 +107,59 @@ def corpus_bleu(hyps: list[list[str]], refs: list[list[list[str]]]) -> float:
             continue
         hyp_len += len(hyp)
         ref_len += _closest_ref_length(len(hyp), ref_set)
-        for n in range(1, MAX_ORDER + 1):
-            m, t = _clipped_matches(hyp, ref_set, n)
-            matches[n - 1] += m
-            totals[n - 1] += t
+        m, t = _clipped_stats(ngram_counts(hyp), len(hyp), _best_counts(ref_set))
+        matches = [a + b for a, b in zip(matches, m)]
+        totals = [a + b for a, b in zip(totals, t)]
     if hyp_len == 0:
         return 0.0
     return _bleu_from_stats(matches, totals, hyp_len, ref_len)
 
 
 def self_bleu(hyps: list[list[str]]) -> float:
-    """Leave-one-out BLEU averaged over the set; lower means more diverse."""
+    """Leave-one-out BLEU averaged over the set; lower means more diverse.
+
+    Each nonempty sentence is scored against every other nonempty one; an
+    empty sentence, or one with no nonempty other, scores 0. The n-grams
+    are counted once: per n-gram, the largest count, the sentence that
+    holds it and the second-largest count give its best count among the
+    others of any sentence, and a histogram of lengths gives the closest
+    other length.
+    """
     if len(hyps) < 2:
         raise ValueError("self-BLEU needs at least 2 hypotheses")
+    counts = [ngram_counts(h) for h in hyps]
+    top: list[dict] = [{} for _ in range(MAX_ORDER)]  # gram -> [max, holder, second]
+    lengths: Counter = Counter()
+    for j, hyp in enumerate(hyps):
+        if not hyp:
+            continue
+        lengths[len(hyp)] += 1
+        for table, grams in zip(top, counts[j]):
+            for gram, count in grams.items():
+                entry = table.get(gram)
+                if entry is None:
+                    table[gram] = [count, j, 0]
+                elif count > entry[0]:
+                    entry[:] = [count, j, entry[0]]
+                elif count > entry[2]:
+                    entry[2] = count
+    nonempty = sum(lengths.values())
     scores = []
     for i, hyp in enumerate(hyps):
-        others = [h for j, h in enumerate(hyps) if j != i and len(h) > 0]
-        if not others or len(hyp) == 0:
+        if not hyp or nonempty < 2:
             scores.append(0.0)
             continue
-        scores.append(bleu(hyp, others))
+        n = len(hyp)
+        others = [(abs(length - n), length) for length, k in lengths.items()
+                  if k > (length == n)]
+        ref_counts = []
+        for table, grams in zip(top, counts[i]):
+            ref = {}
+            for gram in grams:
+                count, holder, second = table[gram]
+                ref[gram] = second if holder == i else count
+            ref_counts.append(ref)
+        scores.append(bleu_from_counts(counts[i], n, ref_counts, min(others)[1]))
     return sum(scores) / len(scores)
 
 

@@ -45,22 +45,30 @@ class SchedulerConfig:
         return cls(**d)
 
 
+def param_shapes(cfg: SchedulerConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """The policy's weight shapes, in initialization order."""
+    e, h = cfg.embed_dim, cfg.hidden_dim
+    return {"tok_emb": (vocab_size, e),
+            "enc.wx": (e, 4 * h), "enc.wh": (h, 4 * h), "enc.b": (4 * h,),
+            "dec.wx": (e, 4 * h), "dec.wh": (h, 4 * h), "dec.b": (4 * h,),
+            "inst_emb": (2, e), "start_emb": (e,), "head.w": (h, 1), "head.b": (1,)}
+
+
 def init_scheduler_params(cfg: SchedulerConfig, vocab_size: int,
                           rng: RngStream) -> dict[str, np.ndarray]:
-    e, h = cfg.embed_dim, cfg.hidden_dim
-    return {
-        "tok_emb": rng.normal((vocab_size, e)) * 0.1,
-        "enc.wx": nn.init_matrix(rng, e, 4 * h),
-        "enc.wh": nn.init_matrix(rng, h, 4 * h),
-        "enc.b": np.zeros(4 * h),
-        "dec.wx": nn.init_matrix(rng, e, 4 * h),
-        "dec.wh": nn.init_matrix(rng, h, 4 * h),
-        "dec.b": np.zeros(4 * h),
-        "inst_emb": rng.normal((2, e)) * 0.1,
-        "start_emb": rng.normal((e,)) * 0.1,
-        "head.w": rng.normal((h, 1)) * (1.0 / np.sqrt(h)),
-        "head.b": np.full(1, cfg.head_bias_init),
-    }
+    scales = {"tok_emb": 0.1, "inst_emb": 0.1, "start_emb": 0.1,
+              "head.w": 1.0 / np.sqrt(cfg.hidden_dim)}
+    params = {}
+    for name, shape in param_shapes(cfg, vocab_size).items():
+        if name in scales:
+            params[name] = rng.normal(shape) * scales[name]
+        elif name == "head.b":
+            params[name] = np.full(shape, cfg.head_bias_init)
+        elif len(shape) == 2:
+            params[name] = nn.init_matrix(rng, *shape)
+        else:
+            params[name] = np.zeros(shape)
+    return params
 
 
 @dataclass
@@ -110,13 +118,19 @@ def _encode(pt, ids: np.ndarray, lengths: np.ndarray, hidden: int):
 
 
 def sample_instructions_batch(params, srcs: list[list[str]], vocab: Vocab,
-                              cfg: SchedulerConfig, rng: RngStream | None,
+                              cfg: SchedulerConfig,
+                              rng: RngStream | list[tuple[int, RngStream]] | None,
                               mode: str = "stochastic",
                               record: bool | None = None) -> InstructionBatch:
     """Roll the decoder once for a whole minibatch of sources.
 
     Stochastic mode draws each bit from its Bernoulli; greedy mode
     thresholds the probability at one half and never touches ``rng``.
+    ``rng`` is one stream for the whole batch, or ``(rows, stream)`` blocks
+    that cover the batch in order. Each block draws its ``[T, rows]``
+    uniforms in one call before the decoder runs, which leaves its bits and
+    its stream's position as a separate rollout of those rows would: a
+    draw depends only on its position, and rows are independent.
     ``record`` (default: only in stochastic mode) keeps the log-probability
     graph alive for ``score_gradients()``.
     """
@@ -130,6 +144,14 @@ def sample_instructions_batch(params, srcs: list[list[str]], vocab: Vocab,
     hidden = cfg.hidden_dim
     ids, lengths = _ids_for(srcs, vocab, cfg)
     b = len(srcs)
+    if mode == "stochastic":
+        blocks = [(b, rng)] if isinstance(rng, RngStream) else rng
+        if sum(rows for rows, _ in blocks) != b:
+            raise ContractError(
+                f"rng blocks cover {sum(rows for rows, _ in blocks)} rows, "
+                f"batch has {b}")
+        uniforms = np.concatenate([stream.uniform((steps, rows))
+                                   for rows, stream in blocks], axis=1)
     tape = Tape() if record else None
     pt = lift(params, tape)
     h, c = _encode(pt, ids, lengths, hidden)
@@ -144,7 +166,7 @@ def sample_instructions_batch(params, srcs: list[list[str]], vocab: Vocab,
         logit = (h @ pt["head.w"])[:, 0] + pt["head.b"]
         p = _stable_sigmoid(logit.data)
         if mode == "stochastic":
-            bits = rng.bernoulli(p)
+            bits = uniforms[t] < p
         else:
             bits = p >= 0.5
         bits_all[:, t] = bits

@@ -21,17 +21,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scheduler as policy
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SentencePair, Vocab, encode_batch
 from .errors import ConfigError, ContractError
 from .exploiter import (ExploiterConfig, diffusion_loss, generate_batch,
                         init_exploiter_params, mbr_select, params_checksum)
+from .exploiter import param_shapes as exploiter_shapes
 from .metrics import corpus_bleu, evaluate_corpus
 from .optim import AdaptiveSGD, sgd_step
 from .rng import RngStream
-from .schedule import (BaseSchedule, ScheduledNoise, apply_skipping,
-                       build_sqrt_schedule, fixed_schedule)
+from .schedule import (BaseSchedule, MetaInstructions, ScheduledNoise,
+                       apply_skipping, build_sqrt_schedule, fixed_schedule)
 from .scheduler import SchedulerConfig, init_scheduler_params
+from .scheduler import param_shapes as scheduler_shapes
 
 
 @dataclass(frozen=True)
@@ -300,20 +302,31 @@ def meta_train(train_pairs: list[SentencePair], heldout_pairs: list[SentencePair
                 round_idx += 1
 
             order = rng.fork("shuffle", epoch).shuffle_index(n)
+            starts = list(range(0, n, t_cfg.total_batch))
+            if t_cfg.max_steps:
+                starts = starts[:t_cfg.max_steps - steps_done]
+            chunks = [[train_pairs[int(i)]
+                       for i in order[start:start + t_cfg.total_batch]]
+                      for start in starts]
+            if not t_cfg.fixed_sqrt and chunks:
+                # psi is fixed for the epoch, so one rollout over every
+                # step's chunk, each from its own stream, gives the bits
+                # that per-step rollouts would
+                bits = policy.sample_instructions_batch(
+                    psi, [list(p.src) for chunk in chunks for p in chunk],
+                    vocab, s_cfg,
+                    [(len(chunk), rng.fork("train-sched", epoch, start))
+                     for chunk, start in zip(chunks, starts)],
+                    "stochastic", False).instructions.bits
             losses = []
-            for start in range(0, n, t_cfg.total_batch):
-                if t_cfg.max_steps and steps_done >= t_cfg.max_steps:
-                    break
-                chunk = [train_pairs[int(i)]
-                         for i in order[start:start + t_cfg.total_batch]]
+            for start, chunk in zip(starts, chunks):
                 encoded = encode_batch(chunk, vocab, e_cfg.max_len)
                 if t_cfg.fixed_sqrt:
                     schedules = flat
                 else:
-                    _, schedules = _sentence_schedules(
-                        psi, [list(p.src) for p in chunk], vocab, s_cfg, base,
-                        rng.fork("train-sched", epoch, start), mode="stochastic",
-                        record=False)
+                    # chunks are consecutive, so a chunk's rows start at `start`
+                    schedules = apply_skipping(
+                        MetaInstructions(bits[start:start + len(chunk)]), base)
                 loss, grads = diffusion_loss(theta, encoded, schedules,
                                              rng.fork("train-diff", epoch, start),
                                              e_cfg)
@@ -364,8 +377,26 @@ def meta_train(train_pairs: list[SentencePair], heldout_pairs: list[SentencePair
                        events=events)
 
 
-def _as_checkpoint(obj) -> Checkpoint:
-    return obj if isinstance(obj, Checkpoint) else load_checkpoint(obj)
+def load_model(path, kind: str):
+    """A ``kind`` checkpoint and its config object. The config must build,
+    and the weights must have exactly the shapes it and the vocabulary give;
+    every failure is a ``ConfigError`` that names the path."""
+    ckpt = load_checkpoint(path)
+    if ckpt.kind != kind:
+        raise ConfigError(f"{path}: a {ckpt.kind!r} checkpoint, expected {kind!r}")
+    cfg_cls, shapes_of = {"exploiter": (ExploiterConfig, exploiter_shapes),
+                          "scheduler": (SchedulerConfig, scheduler_shapes)}[kind]
+    try:
+        cfg = cfg_cls.from_dict(ckpt.config)
+        want = shapes_of(cfg, len(Vocab(ckpt.vocab_tokens)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad {kind} checkpoint config: {exc}") from exc
+    got = {name: arr.shape for name, arr in ckpt.params.items()}
+    for name in sorted(got.keys() | want.keys()):
+        if got.get(name) != want.get(name):
+            raise ConfigError(f"{path}: weight {name!r} has shape {got.get(name)}, "
+                              f"its config gives {want.get(name)}")
+    return ckpt, cfg
 
 
 def plug_and_play_generate(scheduler_ckpt, exploiter_ckpt,
@@ -379,20 +410,14 @@ def plug_and_play_generate(scheduler_ckpt, exploiter_ckpt,
     maps unseen tokens to UNK. Weights are checksummed before and after to
     prove no fine-tuning happened.
     """
-    expl_ck = _as_checkpoint(exploiter_ckpt)
-    if expl_ck.kind != "exploiter":
-        raise ConfigError("exploiter checkpoint has the wrong kind")
-    e_cfg = ExploiterConfig.from_dict(expl_ck.config)
+    expl_ck, e_cfg = load_model(exploiter_ckpt, "exploiter")
     base = build_sqrt_schedule(e_cfg.steps)
     sums = [params_checksum(expl_ck.params)]
     if fixed_sqrt:
         sched_ck = None
         schedules = fixed_schedule(base)
     else:
-        sched_ck = _as_checkpoint(scheduler_ckpt)
-        if sched_ck.kind != "scheduler":
-            raise ConfigError("scheduler checkpoint has the wrong kind")
-        s_cfg = SchedulerConfig.from_dict(sched_ck.config)
+        sched_ck, s_cfg = load_model(scheduler_ckpt, "scheduler")
         if s_cfg.decoder_len != e_cfg.steps:
             raise ConfigError(
                 f"scheduler decoder length {s_cfg.decoder_len} incompatible "

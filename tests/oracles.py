@@ -7,6 +7,7 @@ production path it checks.
 import numpy as np
 
 from skipdiff.autodiff import const, where_mask
+from skipdiff.metrics import MAX_ORDER, _bleu_from_stats
 from skipdiff.exploiter import ExploiterConfig, LatentState, _assert_anchored
 from skipdiff.rng import RngStream
 from skipdiff.schedule import ScheduledNoise
@@ -44,3 +45,52 @@ def recompute_log_prob(bits: np.ndarray, probs: np.ndarray) -> float:
     for bit, p in zip(bits, probs):
         total += np.log(p) if bit else np.log1p(-p)
     return float(total)
+
+
+def bleu_by_definition(hyp: list[str], refs: list[list[str]]) -> float:
+    """Sentence BLEU of a nonempty hypothesis, its statistics counted from
+    the definition: per order, each distinct n-gram's count in the
+    hypothesis, clipped by its largest count in any one reference. The
+    smoothed combination of those integers is the program's own."""
+    matches, totals = [], []
+    for n in range(1, MAX_ORDER + 1):
+        grams = [tuple(hyp[i:i + n]) for i in range(len(hyp) - n + 1)]
+        clipped = 0
+        for gram in set(grams):
+            in_refs = [[tuple(r[i:i + n]) for i in range(len(r) - n + 1)].count(gram)
+                       for r in refs]
+            clipped += min(grams.count(gram), max(in_refs))
+        matches.append(clipped)
+        totals.append(len(grams))
+    ref_len = min(refs, key=lambda r: (abs(len(r) - len(hyp)), len(r)))
+    return _bleu_from_stats(matches, totals, len(hyp), len(ref_len))
+
+
+def self_bleu_by_definition(hyps: list[list[str]]) -> float:
+    """Each sentence's BLEU against all other nonempty sentences, averaged;
+    an empty sentence, or one with no nonempty other, scores 0."""
+    scores = []
+    for i, hyp in enumerate(hyps):
+        others = [h for j, h in enumerate(hyps) if j != i and h]
+        scores.append(bleu_by_definition(hyp, others) if hyp and others else 0.0)
+    return sum(scores) / len(scores)
+
+
+def mbr_select_by_definition(candidates: list[list[str]]) -> list[str]:
+    """The candidate whose BLEU against each other candidate, summed in
+    candidate order and averaged, is the largest; the first such wins. Two
+    empty sentences score 1 against each other, an empty and a nonempty 0."""
+    if len(candidates) == 1:
+        return candidates[0]
+    scores = []
+    for i, cand in enumerate(candidates):
+        vals = []
+        for j, other in enumerate(candidates):
+            if j == i:
+                continue
+            if cand and other:
+                vals.append(bleu_by_definition(cand, [other]))
+            else:
+                vals.append(1.0 if not cand and not other else 0.0)
+        scores.append(sum(vals) / len(vals))
+    return candidates[int(np.argmax(scores))]

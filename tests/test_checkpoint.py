@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -94,3 +95,47 @@ def test_failed_save_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch):
         save_checkpoint(path, "scheduler", {}, {"w": np.ones(2)}, [], "")
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+
+
+def write_with_header(path, header: bytes, payload: bytes = b"") -> None:
+    path.write_bytes(b"SKPD" + b"\x01\x00\x00\x00" + len(header).to_bytes(8, "little")
+                     + header + payload)
+
+
+GOOD_HEADER = {"blobs": [{"name": "w", "nbytes": 8, "offset": 0, "shape": [1]}],
+               "config": {}, "dataset": "", "kind": "scheduler", "vocab": []}
+
+
+def _without(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _blob(**fields) -> dict:
+    return {**GOOD_HEADER, "blobs": [{**GOOD_HEADER["blobs"][0], **fields}]}
+
+
+@pytest.mark.parametrize("header, message", [
+    ([], "header is not a JSON object"),
+    (_without(GOOD_HEADER, "blobs"), "header needs 'blobs' as a list"),
+    ({**GOOD_HEADER, "config": []}, "header needs 'config' as a dict"),
+    ({**GOOD_HEADER, "kind": True}, "header needs 'kind' as a str"),
+    ({**GOOD_HEADER, "vocab": ["a", 3]}, "vocabulary holds a non-string"),
+    ({**GOOD_HEADER, "blobs": [_without(GOOD_HEADER["blobs"][0], "shape")]},
+     "blob 0 is not"),
+    (_blob(shape=[-1]), "blob 0 is not"),
+    (_blob(nbytes=8.0), "blob 0 is not"),
+    (_blob(offset=True), "blob 0 is not"),
+], ids=["not-object", "no-blobs", "config-list", "kind-bool", "vocab-int",
+        "no-shape", "negative-size", "float-nbytes", "bool-offset"])
+def test_header_contents_are_checked(tmp_path, header, message):
+    path = tmp_path / "model.bin"
+    write_with_header(path, json.dumps(header).encode(), b"\x00" * 8)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: checkpoint {message}")):
+        load_checkpoint(path)
+
+
+def test_hand_written_good_header_loads(tmp_path):
+    path = tmp_path / "model.bin"
+    write_with_header(path, json.dumps(GOOD_HEADER).encode(),
+                      b"\x00\x00\x00\x00\x00\x00\xf0\x3f")
+    assert load_checkpoint(path).params["w"].tolist() == [1.0]

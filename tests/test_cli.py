@@ -325,3 +325,49 @@ def test_export_schedule_mean_is_columnwise_average(tiny_run, src_file, tmp_path
             per_sentence.setdefault(t, []).append(float(parts[3]))
     for t, vals in per_sentence.items():
         assert means[t] == pytest.approx(np.mean(vals))
+
+
+def rewrite_header(src, dst, edit) -> None:
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its header."""
+    raw = open(src, "rb").read()
+    n = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + n])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode()
+    with open(dst, "wb") as fh:
+        fh.write(raw[:8] + len(text).to_bytes(8, "little") + text + raw[16 + n:])
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("scheduler", lambda h: h.pop("blobs"), "checkpoint header needs 'blobs' as a list"),
+    ("scheduler", lambda h: h["config"].update(bogus=1),
+     "bad scheduler checkpoint config: "),
+    ("scheduler", lambda h: h["config"].update(hidden_dim=4),
+     "weight 'dec.b' has shape (32,), its config gives (16,)"),
+    ("scheduler", lambda h: h["vocab"].pop(),
+     "weight 'tok_emb' has shape (10, 16), its config gives (9, 16)"),
+    ("exploiter", lambda h: h["config"].update(bogus=1),
+     "bad exploiter checkpoint config: "),
+    ("exploiter", lambda h: h["config"].update(layers=2),
+     "weight 'block1.attn.bo' has shape None, its config gives (16,)"),
+    ("exploiter", lambda h: h.update(kind="scheduler"),
+     "a 'scheduler' checkpoint, expected 'exploiter'"),
+], ids=["no-blobs", "scheduler-unknown-key", "scheduler-shape", "vocab-size",
+        "exploiter-unknown-key", "exploiter-missing-weights", "wrong-kind"])
+def test_bad_checkpoint_contents_exit_2_naming_the_path(tiny_run, src_file, tmp_path,
+                                                        capsys, kind, edit, message):
+    bad = str(tmp_path / f"{kind}.bin")
+    rewrite_header(os.path.join(tiny_run, "checkpoints", f"{kind}-final.bin"), bad, edit)
+    ckpts = {"exploiter": os.path.join(tiny_run, "checkpoints", "exploiter-final.bin"),
+             "scheduler": os.path.join(tiny_run, "checkpoints", "scheduler-final.bin"),
+             kind: bad}
+    code = run_cli("generate", "--exploiter", ckpts["exploiter"],
+                   "--scheduler", ckpts["scheduler"], "--src", src_file,
+                   "--out", str(tmp_path / "gen.jsonl"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+    assert not os.path.exists(tmp_path / "gen.jsonl")
+    if kind == "scheduler":
+        assert run_cli("export-schedule", "--scheduler", bad, "--src", src_file,
+                       "--out", str(tmp_path / "s.csv")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")

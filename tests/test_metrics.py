@@ -1,12 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skipdiff.metrics import (MetricReport, bleu, corpus_bleu, corpus_dist_1,
                               dist_1, evaluate_corpus, mean_rank,
                               rank_table_csv, rouge_l, self_bleu)
 from skipdiff.rng import RngStream
+from oracles import bleu_by_definition, self_bleu_by_definition
 from tabledata import QQP_BLOCK, QQP_MEAN_RANK
+
+# Short sentences over a three-token alphabet, so n-grams repeat within and
+# across sentences; empty ones included.
+SENTENCES = st.lists(st.sampled_from("abc"), max_size=9)
 
 
 def test_bleu_identity():
@@ -71,6 +77,20 @@ def test_self_bleu_disjoint():
 def test_self_bleu_hand_case():
     hyps = [list("abcd"), list("abcd"), list("wxyz")]
     assert self_bleu(hyps) == pytest.approx(2 / 3, abs=1e-3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hyps=st.lists(SENTENCES, min_size=2, max_size=14))
+def test_self_bleu_equals_its_definition(hyps):
+    assert self_bleu(hyps) == self_bleu_by_definition(hyps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hyp=SENTENCES.filter(len),
+       refs=st.lists(SENTENCES.filter(len), min_size=1, max_size=4))
+def test_bleu_and_corpus_bleu_equal_the_definition(hyp, refs):
+    assert bleu(hyp, refs) == bleu_by_definition(hyp, refs)
+    assert corpus_bleu([hyp], [refs]) == bleu_by_definition(hyp, refs)
 
 
 def test_self_bleu_needs_two():

@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from skipdiff.rng import RngStream
 
@@ -82,3 +83,15 @@ def test_draws_are_pinned_bit_for_bit():
     assert child.seed == 0x4E214E6087A84689
     assert [float(x).hex() for x in child.normal((2,))] == [
         "-0x1.1494aba437e47p+1", "0x1.bdc5b9fb997c2p-6"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 10**6),
+       steps=st.integers(0, 12), n=st.integers(0, 12))
+def test_one_block_of_uniforms_equals_successive_rows(seed, start, steps, n):
+    block_rng, row_rng = RngStream(seed, start), RngStream(seed, start)
+    block = block_rng.uniform((steps, n))
+    rows = [row_rng.uniform((n,)) for _ in range(steps)]
+    assert block.shape == (steps, n)
+    assert np.array_equal(block, np.array(rows).reshape(steps, n))
+    assert block_rng.position == row_rng.position == start + steps * n

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skipdiff.errors import ContractError, ParameterError
 from skipdiff.rng import RngStream
@@ -151,3 +152,22 @@ def test_csv_export_shape():
     assert lines[5].split(",")[:3] == ["1", "2", "1"]
     mean = lines[8].split(",")
     assert mean[:2] == ["mean", "2"] and float(mean[2]) == 1.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.integers(1, 64).flatmap(
+    lambda t: st.lists(st.lists(st.booleans(), min_size=t, max_size=t),
+                       min_size=1, max_size=4)))
+def test_skipping_pointer_monotone_and_holds_add_no_noise(bits):
+    arr = np.array(bits)
+    sched = apply_skipping(MetaInstructions(arr), build_sqrt_schedule(arr.shape[1]))
+    step = np.diff(sched.pointer, axis=-1)
+    assert np.all((step == 0) | (step == 1))   # never decreases, one level at most
+    holds = step == 0
+    assert np.all(sched.beta_eff[:, 1:][holds] == 0.0)
+    assert np.all(sched.beta_eff[:, 1:][~holds] > 0.0)
+    # a False after the first step always holds; a True advances unless the
+    # pointer sits at its floor of 1 after leading Falses
+    assert np.all(holds[:, 1:][~arr[:, 1:]])
+    assert np.array_equal(holds[:, 1:] & arr[:, 1:],
+                          arr[:, 1:] & (np.cumsum(arr, axis=1)[:, 1:] == 1))

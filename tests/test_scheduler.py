@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bandit import bandit_run, reinforce_gradients
 from oracles import recompute_log_prob
@@ -158,3 +159,38 @@ def test_bandit_smoke_single_seed():
     assert final > first + 0.2
     first_n, final_n = bandit_run(lambda bits: float(1.0 - bits.mean()), seed=0)
     assert final_n < first_n - 0.2
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_rows=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       data=st.data())
+def test_blocked_rollout_equals_per_block_rollouts(block_rows, data):
+    # mixed source lengths, and the last block may be the shortest
+    cfg, params = make(T=6, hidden=5, embed=4, bias=1.0, seed=3)
+    srcs = [[f"w{i:02d}" for i in data.draw(st.lists(st.integers(0, 7),
+                                                       min_size=1, max_size=7))]
+            for _ in range(sum(block_rows))]
+    seeds = [data.draw(st.integers(0, 2**32)) for _ in block_rows]
+    streams = [RngStream(seed, 5) for seed in seeds]
+    record = data.draw(st.booleans())
+    whole = sample_instructions_batch(params, srcs, VOCAB, cfg,
+                                      list(zip(block_rows, streams)),
+                                      "stochastic", record)
+    start = 0
+    for rows, seed, stream in zip(block_rows, seeds, streams):
+        alone_rng = RngStream(seed, 5)
+        alone = sample_instructions_batch(params, srcs[start:start + rows], VOCAB,
+                                          cfg, alone_rng, "stochastic", record)
+        block = slice(start, start + rows)
+        assert np.array_equal(whole.instructions.bits[block], alone.instructions.bits)
+        assert np.array_equal(whole.probs[block], alone.probs)
+        assert np.array_equal(whole.row_log_prob.data[block], alone.row_log_prob.data)
+        assert stream.position == alone_rng.position == 5 + cfg.decoder_len * rows
+        start += rows
+
+
+def test_rng_blocks_must_cover_the_batch():
+    cfg, params = make()
+    with pytest.raises(ContractError, match="cover 3 rows, batch has 4"):
+        sample_instructions_batch(params, [["w00"]] * 4, VOCAB, cfg,
+                                  [(2, RngStream(1)), (1, RngStream(2))])

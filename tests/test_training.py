@@ -9,6 +9,7 @@ from skipdiff.checkpoint import load_checkpoint
 from skipdiff.cli import main as cli_main
 from skipdiff.data import generate_synthetic, synthetic_vocab
 from skipdiff.errors import ConfigError, ContractError
+from skipdiff.metrics import MetricReport
 from skipdiff.exploiter import ExploiterConfig, init_exploiter_params, params_checksum
 from skipdiff.optim import AdaptiveSGD
 from skipdiff.rng import RngStream
@@ -387,3 +388,52 @@ def test_copy_loss_halves_within_200_steps(tmp_path):
                         COPY_E_CFG, COPY_S_CFG, cfg)
     losses = [e["loss"] for e in result.events if e["event"] == "epoch"]
     assert losses[-1] <= 0.5 * losses[0]
+
+
+def test_early_stop_after_patience_evaluations_without_gain(tmp_path, monkeypatch):
+    # init_eval, then epochs 0..: a gain at epochs 0 and 2, none at 1, 3 and 4
+    bleus = iter([0.2, 0.3, 0.3, 0.5, 0.5, 0.4, 0.9, 0.9, 0.9])
+    monkeypatch.setattr(training, "evaluate_corpus",
+                        lambda picks, refs: MetricReport({"BLEU": next(bleus)}))
+    result = meta_train(pairs(8), pairs(2, seed=4), VOCAB, str(tmp_path / "run"),
+                        E_CFG, S_CFG, t_cfg(max_epochs=10, eval_every=1,
+                                            early_stop_patience=2, fixed_sqrt=True))
+    events = [(e["event"], e["epoch"]) for e in result.events]
+    assert [e for e in events if e[0] == "eval"] == [("eval", k) for k in range(5)]
+    assert [e for e in events if e[0] == "epoch"] == [("epoch", k) for k in range(5)]
+    assert events[-2:] == [("early_stop", 4), ("final_eval", 4)]
+    assert next(bleus) == 0.9   # init, five evaluations and the final one
+
+
+def test_checkpoint_every_writes_a_pair_every_k_epochs(tmp_path):
+    run = tmp_path / "run"
+    meta_train(pairs(8), [], VOCAB, str(run), E_CFG, S_CFG,
+               t_cfg(max_epochs=5, checkpoint_every=2))
+    assert sorted(os.listdir(run / "checkpoints")) == sorted(
+        f"{kind}-{tag}.bin" for kind in ("exploiter", "scheduler")
+        for tag in ("0", "2", "4", "final"))
+    # the pair after epoch 2 holds the weights that a 2-epoch run ends with
+    short = meta_train(pairs(8), [], VOCAB, str(tmp_path / "short"), E_CFG, S_CFG,
+                       t_cfg(max_epochs=2))
+    for kind, final in (("exploiter", short.exploiter_ckpt),
+                        ("scheduler", short.scheduler_ckpt)):
+        at_2 = load_checkpoint(run / "checkpoints" / f"{kind}-2.bin").params
+        assert params_checksum(at_2) == params_checksum(load_checkpoint(final).params)
+
+
+def test_one_training_rollout_per_epoch_of_the_chunks_it_trains(tmp_path, monkeypatch):
+    blocks = []
+    real = training.policy.sample_instructions_batch
+
+    def spy(params, srcs, vocab, cfg, rng, mode="stochastic", record=None):
+        if record is False:
+            blocks.append([rows for rows, _ in rng])
+        return real(params, srcs, vocab, cfg, rng, mode, record)
+
+    monkeypatch.setattr(training.policy, "sample_instructions_batch", spy)
+    # 20 pairs in batches of 8 are 3 steps an epoch; 7 steps end in epoch 2
+    result = meta_train(pairs(20), [], VOCAB, str(tmp_path / "run"), E_CFG, S_CFG,
+                        t_cfg(max_epochs=5, max_steps=7, scheduler_update_period=2))
+    assert blocks == [[8, 8, 4], [8, 8, 4], [8]]
+    assert result.events[-1] == {"event": "epoch", "epoch": 2,
+                                 "loss": result.events[-1]["loss"], "steps_done": 7}
