@@ -66,10 +66,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        """Constant copy; gradients do not flow through it."""
-        return Tensor(self.data)
-
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
         return add(self, _coerce(other))

@@ -90,8 +90,11 @@ def _flag_overrides(args) -> dict:
 
 # -- generation -----------------------------------------------------------
 
-def _join(tokens: list[str]) -> str:
-    return " ".join(tokens)
+def _save_generations(path, srcs, picks, candidates) -> None:
+    """One ``src``/``gen``/``candidates`` row per source."""
+    save_jsonl(path, [{"src": " ".join(s), "gen": " ".join(g),
+                       "candidates": [" ".join(c) for c in cands]}
+                      for s, g, cands in zip(srcs, picks, candidates)])
 
 
 def cmd_generate(args) -> int:
@@ -100,11 +103,8 @@ def cmd_generate(args) -> int:
     picks, candidates = plug_and_play_generate(
         args.scheduler, args.exploiter, srcs, rng, mbr_size=args.mbr,
         gen_steps=args.steps, fixed_sqrt=args.scheduler is None)
-    rows = [{"src": _join(s), "gen": _join(g),
-             "candidates": [_join(c) for c in cands]}
-            for s, g, cands in zip(srcs, picks, candidates)]
-    save_jsonl(args.out, rows)
-    print(f"wrote {len(rows)} generations to {args.out}")
+    _save_generations(args.out, srcs, picks, candidates)
+    print(f"wrote {len(srcs)} generations to {args.out}")
     return 0
 
 
@@ -152,8 +152,7 @@ def cmd_evaluate(args) -> int:
     [refs] = load_jsonl_fields(args.ref, ("trg",), args.tokenizer)
     if len(gens) != len(refs):
         raise ConfigError(f"{len(gens)} generations vs {len(refs)} references")
-    report = evaluate_corpus(gens, refs)
-    _emit(report.to_dict(), args.out)
+    _emit(evaluate_corpus(gens, refs), args.out)
     return 0
 
 
@@ -177,17 +176,20 @@ def cmd_analyze_difficulty(args) -> int:
                                              args.tokenizer)
     if len(refs) != len(gens):
         raise ConfigError(f"{len(gens)} generations vs {len(refs)} references")
-    if args.k > len(gens) // 2:
-        raise ConfigError(f"k={args.k} exceeds half the corpus ({len(gens)})")
+    if not 1 <= args.k <= len(gens) // 2:
+        raise ConfigError(f"--k {args.k} is outside 1..{len(gens) // 2}, "
+                          f"half the corpus of {len(gens)}")
     scores = np.array([bleu(g, [r]) if g else 0.0 for g, r in zip(gens, refs)])
     hardest = np.argsort(scores, kind="stable")[:args.k]
     easiest = np.argsort(-scores, kind="stable")[:args.k]
-    sched_hard = _greedy_schedules(args.scheduler, [srcs[i] for i in hardest])
-    sched_easy = _greedy_schedules(args.scheduler, [srcs[i] for i in easiest])
-    mean_hard = sched_hard.beta_pointer[:, 1:].mean(axis=0)
-    mean_easy = sched_easy.beta_pointer[:, 1:].mean(axis=0)
+    # one rollout: the first k rows are the hardest, the last k the easiest
+    sched = _greedy_schedules(args.scheduler,
+                              [srcs[i] for i in np.concatenate([hardest, easiest])])
+    beta = sched.beta_pointer[:, 1:]
+    mean_hard = beta[:args.k].mean(axis=0)
+    mean_easy = beta[args.k:].mean(axis=0)
     lines = ["t,mean_beta_hard,mean_beta_easy"]
-    for t in range(sched_hard.steps):
+    for t in range(sched.steps):
         lines.append(f"{t + 1},{float(mean_hard[t])!r},{float(mean_easy[t])!r}")
     _write_text(args.out, "\n".join(lines) + "\n")
     summary = {
@@ -206,10 +208,7 @@ def cmd_plug_and_play(args) -> int:
     picks, candidates = plug_and_play_generate(
         args.scheduler, args.exploiter, srcs, RngStream(args.seed),
         mbr_size=args.mbr, gen_steps=args.steps)
-    rows = [{"src": _join(s), "gen": _join(g),
-             "candidates": [_join(c) for c in cands]}
-            for s, g, cands in zip(srcs, picks, candidates)]
-    save_jsonl(args.out, rows)
+    _save_generations(args.out, srcs, picks, candidates)
     base_picks, _ = plug_and_play_generate(
         args.scheduler, args.exploiter, srcs, RngStream(args.seed),
         mbr_size=args.mbr, gen_steps=args.steps, fixed_sqrt=True)
@@ -218,8 +217,8 @@ def cmd_plug_and_play(args) -> int:
         [refs] = load_jsonl_fields(args.ref, ("trg",), args.tokenizer)
         if len(refs) != len(srcs):
             raise ConfigError(f"{len(srcs)} sources vs {len(refs)} references")
-        report["scheduler"] = evaluate_corpus(picks, refs).to_dict()
-        report["fixed-sqrt"] = evaluate_corpus(base_picks, refs).to_dict()
+        report["scheduler"] = evaluate_corpus(picks, refs)
+        report["fixed-sqrt"] = evaluate_corpus(base_picks, refs)
     _emit(report, args.report)
     return 0
 
@@ -253,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, help="diffusion step count")
     p.add_argument("--steps", dest="gen_steps", metavar="STEPS", type=int,
                    help="generation step count")
-    p.add_argument("--mbr", type=int, help="candidate set size")
     p.add_argument("--epochs", type=int)
     p.add_argument("--max-steps", dest="max_steps", type=int)
     p.add_argument("--fixed-sqrt", dest="fixed_sqrt", action="store_true",

@@ -11,7 +11,6 @@ import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -34,9 +33,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
-
     def id_of(self, token: str) -> int:
         return self._token_to_id.get(token, UNK)
 
@@ -46,23 +42,10 @@ class Vocab:
     def encode(self, tokens: list[str]) -> list[int]:
         return [self.id_of(t) for t in tokens]
 
-    def decode(self, ids) -> list[str]:
-        return [self._id_to_token[int(i)] for i in ids]
-
     @property
     def tokens(self) -> list[str]:
         """Non-reserved tokens in id order (id = index + 4)."""
         return self._id_to_token[4:]
-
-    def save(self, path) -> None:
-        Path(path).write_text("\n".join(self.tokens) + ("\n" if self.tokens else ""),
-                              encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        text = Path(path).read_text(encoding="utf-8")
-        tokens = [line for line in text.splitlines() if line]
-        return cls(tokens)
 
 
 def tokenize(text: str, mode: str = "whitespace") -> list[str]:
@@ -113,19 +96,6 @@ class EncodedBatch:
     pad_mask: np.ndarray       # bool [B, L], true on padding
 
     @property
-    def batch_size(self) -> int:
-        return self.ids.shape[0]
-
-    @property
-    def max_len(self) -> int:
-        return self.ids.shape[1]
-
-    @property
-    def target_mask(self) -> np.ndarray:
-        """Real target content: target tokens and EOS, no padding."""
-        return ~self.condition_mask & ~self.pad_mask
-
-    @property
     def canvas_mask(self) -> np.ndarray:
         """The whole generation canvas after the condition block.
 
@@ -158,16 +128,6 @@ def encode_batch(pairs: list[SentencePair], vocab: Vocab, max_len: int) -> Encod
         np.concatenate([r.condition_mask for r in rows], axis=0),
         np.concatenate([r.pad_mask for r in rows], axis=0),
     )
-
-
-def decode_row(batch: EncodedBatch, row: int, vocab: Vocab) -> tuple[list[str], list[str]]:
-    """Recover (src, tgt) token lists from one encoded row via its masks."""
-    ids = batch.ids[row]
-    src_ids = ids[batch.condition_mask[row]]
-    tgt_ids = ids[batch.target_mask[row]]
-    src = [vocab.token_of(i) for i in src_ids if i != SEP]
-    tgt = [vocab.token_of(i) for i in tgt_ids if i != EOS]
-    return src, tgt
 
 
 # Fields that may hold no tokens: a model can generate nothing, but every

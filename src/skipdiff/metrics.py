@@ -13,7 +13,6 @@ import io
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 
 MAX_ORDER = 4
 
@@ -195,26 +194,9 @@ def corpus_dist_1(hyps: list[list[str]]) -> float:
     return sum(vals) / len(vals)
 
 
-@dataclass
-class MetricReport:
-    """Metric name -> value, with the better-direction map alongside."""
-
-    values: dict[str, float]
-    directions: dict[str, bool] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in self.values:
-            self.directions.setdefault(name, HIGHER_BETTER.get(name, True))
-        for name, value in self.values.items():
-            if not math.isfinite(value):
-                raise ValueError(f"metric {name} is not finite")
-
-    def to_dict(self) -> dict[str, float]:
-        return dict(self.values)
-
-
-def evaluate_corpus(hyps: list[list[str]], refs: list[list[str]]) -> MetricReport:
-    """Standard report for aligned generated/reference corpora."""
+def evaluate_corpus(hyps: list[list[str]], refs: list[list[str]]) -> dict[str, float]:
+    """Metric name -> value for aligned generated/reference corpora; every
+    value must be finite."""
     if len(hyps) != len(refs):
         raise ValueError(f"{len(hyps)} hypotheses vs {len(refs)} references")
     values = {
@@ -224,14 +206,16 @@ def evaluate_corpus(hyps: list[list[str]], refs: list[list[str]]) -> MetricRepor
     }
     if len(hyps) >= 2:
         values["Self-BLEU"] = self_bleu(hyps)
-    return MetricReport(values)
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"metric {name} is not finite")
+    return values
 
 
-def _metric_ranks(table: dict[str, dict[str, float | None]],
-                  directions: dict[str, bool] | None) -> dict[str, dict[str, int]]:
+def _metric_ranks(table: dict[str, dict[str, float | None]]
+                  ) -> dict[str, dict[str, int]]:
     """Each metric's rank per method that reports it (1 = best), metrics in
     order of first appearance. Ties share the minimum rank of the group."""
-    directions = directions or {}
     metrics: list[str] = []
     for row in table.values():
         for metric in row:
@@ -239,7 +223,7 @@ def _metric_ranks(table: dict[str, dict[str, float | None]],
                 metrics.append(metric)
     out: dict[str, dict[str, int]] = {}
     for metric in metrics:
-        higher = directions.get(metric, HIGHER_BETTER.get(metric, True))
+        higher = HIGHER_BETTER.get(metric, True)
         present = [(name, row[metric]) for name, row in table.items()
                    if row.get(metric) is not None]
         ordered = sorted(present, key=lambda kv: -kv[1] if higher else kv[1])
@@ -250,8 +234,7 @@ def _metric_ranks(table: dict[str, dict[str, float | None]],
     return out
 
 
-def mean_rank(table: dict[str, dict[str, float | None]],
-              directions: dict[str, bool] | None = None) -> dict[str, float]:
+def mean_rank(table: dict[str, dict[str, float | None]]) -> dict[str, float]:
     """Average rank of each method across metrics (1 = best).
 
     Ties share the minimum rank of the tied group. A method missing a
@@ -265,7 +248,7 @@ def mean_rank(table: dict[str, dict[str, float | None]],
             return {name: 1.0}
         raise ValueError("mean rank needs at least one method")
     ranks: dict[str, list[float]] = {m: [] for m in table}
-    for by_name in _metric_ranks(table, directions).values():
+    for by_name in _metric_ranks(table).values():
         for name, rank in by_name.items():
             ranks[name].append(float(rank))
     out = {}
@@ -276,16 +259,15 @@ def mean_rank(table: dict[str, dict[str, float | None]],
     return out
 
 
-def rank_table_csv(table: dict[str, dict[str, float | None]],
-                   directions: dict[str, bool] | None = None) -> str:
+def rank_table_csv(table: dict[str, dict[str, float | None]]) -> str:
     """CSV export: method,metric,value,rank rows plus the Mean-Rank rows."""
-    ranks = _metric_ranks(table, directions)
+    ranks = _metric_ranks(table)
     buf = io.StringIO()
     buf.write("method,metric,value,rank\n")
     for name, row in table.items():
         for metric, by_name in ranks.items():
             if name in by_name:
                 buf.write(f"{name},{metric},{float(row[metric])!r},{by_name[name]}\n")
-    for name, mr in mean_rank(table, directions).items():
+    for name, mr in mean_rank(table).items():
         buf.write(f"{name},Mean-Rank,{mr!r},\n")
     return buf.getvalue()

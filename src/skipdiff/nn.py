@@ -12,10 +12,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .autodiff import (Tensor, concat, const, exp, gather_rows, gelu,
-                       layer_norm_op, log, matmul, mul, reshape,
-                       select_last, sigmoid, softmax, sub, sum_,
-                       tanh, transpose, where_mask)
+from .autodiff import (Tensor, const, exp, gelu, layer_norm_op, log, matmul,
+                       mul, reshape, select_last, sigmoid, softmax, sub, sum_,
+                       tanh, transpose)
 from .rng import RngStream
 
 
@@ -109,10 +108,3 @@ def init_matrix(rng: RngStream, fan_in: int, fan_out: int,
     sigma = scale if scale is not None else 1.0 / math.sqrt(fan_in)
     return rng.normal((fan_in, fan_out)) * sigma
 
-
-__all__ = [
-    "linear", "gelu", "layer_norm_op", "attention", "multi_head_attention",
-    "feed_forward", "transformer_block", "masked_mse", "log_softmax",
-    "masked_cross_entropy", "lstm_step", "init_matrix",
-    "gather_rows", "where_mask", "concat",
-]

@@ -109,12 +109,6 @@ class RngStream:
         out = np.minimum(out, high - 1)
         return int(out) if shape is None else out
 
-    def bernoulli(self, p: np.ndarray | float, shape=None) -> np.ndarray:
-        """Boolean draws with per-element success probability p."""
-        p = np.asarray(p, dtype=np.float64)
-        u = self.uniform(shape if shape is not None else p.shape)
-        return np.asarray(u) < p
-
     def shuffle_index(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) (argsort of one uniform row)."""
         keys = self.uniform((n,))

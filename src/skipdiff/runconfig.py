@@ -40,7 +40,6 @@ RENAMED_KEYS: dict[str, tuple[str, ...]] = {
     "sched_max_len": ("encoder_max_len",),
     "period": ("scheduler_update_period",),  # denoiser epochs between rounds
     "epochs": ("max_epochs",),
-    "mbr": ("mbr_size",),
 }
 _KEY_OF = {name: key for key, names in RENAMED_KEYS.items() for name in names}
 

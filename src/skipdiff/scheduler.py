@@ -130,7 +130,10 @@ def sample_instructions_batch(params, srcs: list[list[str]], vocab: Vocab,
     that cover the batch in order. Each block draws its ``[T, rows]``
     uniforms in one call before the decoder runs, which leaves its bits and
     its stream's position as a separate rollout of those rows would: a
-    draw depends only on its position, and rows are independent.
+    draw depends only on its position, and no row reads another. Its
+    ``probs`` and ``row_log_prob`` agree only to float64 rounding, because
+    BLAS may round a row of a 2-D product differently by the row's place
+    in the batch.
     ``record`` (default: only in stochastic mode) keeps the log-probability
     graph alive for ``score_gradients()``.
     """

@@ -47,7 +47,6 @@ class TrainConfig:
     max_epochs: int = 50
     max_steps: int = 0                   # 0 = no step cap
     seed: int = 0
-    mbr_size: int = 5
     gen_steps: int = 16                  # shortened reward/eval generation
     reward_baseline: bool = True         # subtract the round-mean reward
     eval_every: int = 10
@@ -255,8 +254,7 @@ def meta_train(train_pairs: list[SentencePair], heldout_pairs: list[SentencePair
             picks, _ = generate_with_mbr(theta_now, vocab, e_cfg, srcs, schedules,
                                          rng.fork("eval", epoch), t_cfg.eval_mbr,
                                          t_cfg.gen_steps)
-            report = evaluate_corpus(picks, refs)
-            return report.to_dict()
+            return evaluate_corpus(picks, refs)
 
         _save_pair(run_dir, "0", theta, psi, e_cfg, s_cfg, vocab, dataset_tag)
         log({"event": "init", "epoch": 0, "train_size": len(train_pairs),

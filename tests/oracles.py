@@ -7,10 +7,22 @@ production path it checks.
 import numpy as np
 
 from skipdiff.autodiff import const, where_mask
+from skipdiff.data import EOS, SEP, EncodedBatch, Vocab
 from skipdiff.metrics import MAX_ORDER, _bleu_from_stats
 from skipdiff.exploiter import ExploiterConfig, LatentState, _assert_anchored
 from skipdiff.rng import RngStream
 from skipdiff.schedule import ScheduledNoise
+
+
+def decode_row(batch: EncodedBatch, row: int, vocab: Vocab) -> tuple[list[str], list[str]]:
+    """Recover (src, tgt) token lists from one encoded row via its masks:
+    the condition block without SEP, then the target block up to EOS."""
+    ids = batch.ids[row]
+    src_ids = ids[batch.condition_mask[row]]
+    tgt_ids = ids[~batch.condition_mask[row] & ~batch.pad_mask[row]]
+    src = [vocab.token_of(i) for i in src_ids if i != SEP]
+    tgt = [vocab.token_of(i) for i in tgt_ids if i != EOS]
+    return src, tgt
 
 
 def forward_diffuse_stepwise(state: LatentState, t: int, schedule: ScheduledNoise,
@@ -32,9 +44,8 @@ def forward_diffuse_stepwise(state: LatentState, t: int, schedule: ScheduledNois
         beta = beta[:, None, None]
         x = np.sqrt(1.0 - beta) * x + np.sqrt(beta) * rng.normal(x.shape)
     z_t = where_mask(state.canvas_mask[..., None], const(x), state.anchor)
-    out = LatentState(z=z_t, t=np.full(b, t, dtype=np.int64),
-                      condition_mask=state.condition_mask,
-                      pad_mask=state.pad_mask, anchor=state.anchor)
+    out = LatentState(z=z_t, condition_mask=state.condition_mask,
+                      anchor=state.anchor)
     _assert_anchored(out)
     return out
 

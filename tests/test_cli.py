@@ -99,11 +99,20 @@ def test_train_from_config_file_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["nonsense_key=3", "rounding_loss=maybe",
-                                     "T=abc", "T"])
+                                     "T=abc", "T", "mbr=3"])
 def test_unknown_config_key_rejected(tmp_path, setting):
     out = tmp_path / "x"
     code = run_cli("train", "--task", "copy", "--out", str(out), "--set", setting)
     assert code == 2
+    assert not out.exists()
+
+
+def test_train_has_no_mbr_flag(tmp_path):
+    # the candidate count is generate's --mbr; evaluations inside train use eval_mbr
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--task", "copy", "--out", str(out), "--mbr", "3")
+    assert exc.value.code == 2
     assert not out.exists()
 
 
@@ -273,6 +282,20 @@ def test_analyze_difficulty_k_too_large(tiny_run, tmp_path):
                    "--scheduler", os.path.join(tiny_run, "checkpoints", "scheduler-final.bin"),
                    "--k", "2", "--out", str(tmp_path / "x.csv"))
     assert code == 2
+
+
+@pytest.mark.parametrize("k", ["-2", "0"])
+def test_analyze_difficulty_k_below_one(tiny_run, tmp_path, capsys, k):
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text('{"src": "w00", "gen": "w00", "ref": "w00"}\n'
+                   '{"src": "w01", "gen": "w01", "ref": "w01"}\n')
+    out = tmp_path / "x.csv"
+    code = run_cli("analyze-difficulty", "--gen", str(gen),
+                   "--scheduler", os.path.join(tiny_run, "checkpoints", "scheduler-final.bin"),
+                   "--k", k, "--out", str(out))
+    assert code == 2
+    assert f"error: --k {k} is outside 1..1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plug_and_play_command(tiny_run, src_file, tmp_path, capsys):

@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skipdiff.metrics import (MetricReport, bleu, corpus_bleu, corpus_dist_1,
+from skipdiff import metrics
+from skipdiff.metrics import (bleu, corpus_bleu, corpus_dist_1,
                               dist_1, evaluate_corpus, mean_rank,
                               rank_table_csv, rouge_l, self_bleu)
 from skipdiff.rng import RngStream
@@ -197,16 +198,15 @@ def test_rank_table_csv():
     assert "system-e,ROUGE-L" not in text
 
 
-def test_metric_report_directions():
-    report = MetricReport({"BLEU": 0.4, "Self-BLEU": 0.2})
-    assert report.directions["BLEU"] is True
-    assert report.directions["Self-BLEU"] is False
-    with pytest.raises(ValueError):
-        MetricReport({"BLEU": float("nan")})
+def test_evaluate_corpus_rejects_non_finite_metric(monkeypatch):
+    monkeypatch.setattr(metrics, "corpus_dist_1", lambda hyps: float("nan"))
+    hyps = [["a", "b", "c"], ["d", "e", "f"]]
+    with pytest.raises(ValueError, match="metric Dist-1 is not finite"):
+        evaluate_corpus(hyps, hyps)
 
 
 def test_evaluate_corpus_identity():
     hyps = [["a", "b", "c"], ["d", "e", "f"]]
     report = evaluate_corpus(hyps, hyps)
-    assert report.values["BLEU"] == pytest.approx(1.0)
-    assert report.values["ROUGE-L"] == pytest.approx(1.0)
+    assert report["BLEU"] == pytest.approx(1.0)
+    assert report["ROUGE-L"] == pytest.approx(1.0)

@@ -59,11 +59,6 @@ def test_integers_range():
     assert set(np.unique(vals)) == set(range(2, 9))
 
 
-def test_bernoulli_rate():
-    bits = RngStream(11).bernoulli(0.25, (20_000,))
-    assert abs(bits.mean() - 0.25) < 0.02
-
-
 def test_shuffle_index_is_permutation():
     idx = RngStream(17).shuffle_index(50)
     assert sorted(idx.tolist()) == list(range(50))

@@ -1,5 +1,8 @@
+import ast
 from dataclasses import fields
+from pathlib import Path
 
+import skipdiff
 from skipdiff.exploiter import ExploiterConfig
 from skipdiff.runconfig import DEFAULTS, build_configs, resolve
 from skipdiff.scheduler import SchedulerConfig
@@ -20,12 +23,12 @@ PINNED_DEFAULTS = {
     "period": 10, "lr_exploiter": 1e-3, "lr_scheduler": 0.1, "probe_lr": 1e-3,
     "reward_baseline": True, "gen_steps": 16, "eval_every": 10, "eval_mbr": 1,
     "checkpoint_every": 0, "early_stop_patience": 0,
-    "mbr": 5, "seed": 0, "threads": 1, "fixed_sqrt": False,
+    "seed": 0, "threads": 1, "fixed_sqrt": False,
 }
 
 
 def test_defaults_are_pinned():
-    assert len(PINNED_DEFAULTS) == 43
+    assert len(PINNED_DEFAULTS) == 42
     assert DEFAULTS == PINNED_DEFAULTS
     for key, value in PINNED_DEFAULTS.items():
         assert type(DEFAULTS[key]) is type(value), key
@@ -53,10 +56,26 @@ def test_build_configs_defaults_are_the_dataclass_defaults():
 def test_renamed_keys_reach_their_fields():
     cfg = resolve(overrides={"T": 12, "model_dim": 16, "sched_hidden": 5,
                              "sched_max_len": 9, "period": 3, "epochs": 7,
-                             "mbr": 2, "heads": 2, "probe_lr": 0.5})
+                             "heads": 2, "probe_lr": 0.5})
     e_cfg, s_cfg, t_cfg = build_configs(cfg)
     assert (e_cfg.steps, s_cfg.decoder_len) == (12, 12)
     assert (e_cfg.model_dim, s_cfg.embed_dim) == (16, 16)
     assert (s_cfg.hidden_dim, s_cfg.encoder_max_len) == (5, 9)
-    assert (t_cfg.scheduler_update_period, t_cfg.max_epochs, t_cfg.mbr_size) == (3, 7, 2)
+    assert (t_cfg.scheduler_update_period, t_cfg.max_epochs) == (3, 7)
     assert (e_cfg.heads, t_cfg.probe_lr) == (2, 0.5)
+
+
+def test_every_config_field_is_read():
+    # A field that no code reads is a knob that changes nothing but
+    # config.resolved. runconfig.py only builds the configs, so its
+    # reads do not count.
+    read = set()
+    for path in Path(skipdiff.__file__).parent.glob("*.py"):
+        if path.name != "runconfig.py":
+            read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls.__name__}.{f.name}"
+              for cls in (ExploiterConfig, SchedulerConfig, TrainConfig)
+              for f in fields(cls) if f.name not in read]
+    assert unread == []

@@ -88,7 +88,7 @@ def test_pointer_trace():
 
 def test_batch_rows_equal_one_row_calls():
     base = build_sqrt_schedule(12)
-    bits = RngStream(7).bernoulli(0.5, (6, 12))
+    bits = RngStream(7).uniform((6, 12)) < 0.5
     bits[0] = False  # all hold
     bits[1] = True   # all advance
     batch = apply_skipping(MetaInstructions(bits), base)
@@ -111,7 +111,7 @@ def test_final_pointer_counts_trues():
     base = build_sqrt_schedule(12)
     rng = RngStream(99)
     for _ in range(30):
-        bits = rng.bernoulli(0.4, (12,))
+        bits = rng.uniform((12,)) < 0.4
         out = apply_skipping(MetaInstructions(bits), base)
         expected = min(max(int(bits.sum()), 1), 12)
         assert out.pointer[-1] == expected
@@ -122,7 +122,7 @@ def test_flip_false_to_true_weakly_decreases_signal():
     base = build_sqrt_schedule(10)
     rng = RngStream(53)
     for _ in range(20):
-        bits = rng.bernoulli(0.5, (10,))
+        bits = rng.uniform((10,)) < 0.5
         if bits.all():
             bits[3] = False
         before = apply_skipping(MetaInstructions(bits), base).alpha_bar_x

@@ -9,7 +9,6 @@ from skipdiff.checkpoint import load_checkpoint
 from skipdiff.cli import main as cli_main
 from skipdiff.data import generate_synthetic, synthetic_vocab
 from skipdiff.errors import ConfigError, ContractError
-from skipdiff.metrics import MetricReport
 from skipdiff.exploiter import ExploiterConfig, init_exploiter_params, params_checksum
 from skipdiff.optim import AdaptiveSGD
 from skipdiff.rng import RngStream
@@ -29,7 +28,7 @@ BASE = build_sqrt_schedule(16)
 def t_cfg(**kw):
     defaults = dict(exploration_epochs=2, total_batch=8, max_epochs=2,
                     scheduler_update_period=1, eval_every=0, seed=5,
-                    gen_steps=4, mbr_size=1)
+                    gen_steps=4)
     defaults.update(kw)
     return TrainConfig(**defaults)
 
@@ -394,7 +393,7 @@ def test_early_stop_after_patience_evaluations_without_gain(tmp_path, monkeypatc
     # init_eval, then epochs 0..: a gain at epochs 0 and 2, none at 1, 3 and 4
     bleus = iter([0.2, 0.3, 0.3, 0.5, 0.5, 0.4, 0.9, 0.9, 0.9])
     monkeypatch.setattr(training, "evaluate_corpus",
-                        lambda picks, refs: MetricReport({"BLEU": next(bleus)}))
+                        lambda picks, refs: {"BLEU": next(bleus)})
     result = meta_train(pairs(8), pairs(2, seed=4), VOCAB, str(tmp_path / "run"),
                         E_CFG, S_CFG, t_cfg(max_epochs=10, eval_every=1,
                                             early_stop_patience=2, fixed_sqrt=True))
