@@ -5,13 +5,20 @@ is composed from these primitives so a single finite-difference checker
 covers the whole model zoo. Values are immutable once published: no
 operation writes into its inputs.
 
-A ``Tape`` records operations in creation order, which is automatically a
-topological order (inputs exist before outputs). ``backward`` walks the
-record once in reverse, accumulating gradients additively per node.
+A ``Tape`` owns its graph: it holds the recorded nodes in creation order,
+which is a topological order (inputs exist before outputs). A ``Tensor``
+reaches its tape only through a weak reference, so the graph holds no
+reference cycle and is freed by reference counting as soon as its tape is
+dropped; an operation on a tensor whose tape is gone raises
+``ContractError`` rather than treating it as a constant. Each node's
+backward closure computes gradients for its recorded inputs only.
+``backward`` walks the record in reverse and returns the leaves'
+gradients only. It does not consume the tape, which can be walked again.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,17 +27,24 @@ from .errors import ContractError, ShapeError
 
 
 class Tape:
-    """Ordered operation record plus per-node gradient accumulators."""
+    """Owner of one graph: its nodes in creation order.
+
+    Nodes refer back to the tape through ``_ref``, a weak reference, so the
+    whole graph is freed when the last outside reference to the tape goes.
+    """
+
+    __slots__ = ("nodes", "_ref", "__weakref__")
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self._ref = weakref.ref(self)
 
     def leaf(self, data) -> "Tensor":
         """Register a trainable leaf; gradients flow back to it."""
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("leaf values must be finite")
-        return Tensor(arr, tape=self, parents=(), backward=None, is_leaf=True)
+        return Tensor(arr, tape=self, is_leaf=True)
 
     def _register(self, tensor: "Tensor") -> int:
         self.nodes.append(tensor)
@@ -40,16 +54,25 @@ class Tape:
 class Tensor:
     """Immutable float64 array, optionally recorded on a tape."""
 
-    __slots__ = ("data", "tape", "node_id", "is_leaf", "_parents", "_backward")
+    __slots__ = ("data", "_tape", "node_id", "is_leaf", "_backward")
 
-    def __init__(self, data, tape: Tape | None = None, parents=(),
+    def __init__(self, data, tape: Tape | None = None,
                  backward: Callable | None = None, is_leaf: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.tape = tape
         self.is_leaf = is_leaf
-        self._parents = tuple(parents)
         self._backward = backward
-        self.node_id = tape._register(self) if tape is not None else -1
+        if tape is None:
+            self._tape = None
+            self.node_id = -1
+        else:
+            self._tape = tape._ref
+            self.node_id = tape._register(self)
+
+    @property
+    def tape(self) -> Tape | None:
+        """The recording tape; None for a constant. Raises ``ContractError``
+        once the tape is gone."""
+        return None if self._tape is None else _deref(self._tape)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -60,7 +83,7 @@ class Tensor:
         return self.data.size
 
     def __repr__(self) -> str:
-        tag = "leaf" if self.is_leaf else ("const" if self.tape is None else "node")
+        tag = "leaf" if self.is_leaf else ("const" if self._tape is None else "node")
         return f"Tensor({tag}, shape={self.shape})"
 
     def item(self) -> float:
@@ -123,14 +146,21 @@ def lift(params: dict[str, np.ndarray], tape: Tape | None) -> dict[str, Tensor]:
 
 
 def _result_tape(*tensors: Tensor) -> Tape | None:
-    tape = None
+    ref = None
     for t in tensors:
-        if t.tape is None:
+        if t._tape is None:
             continue
-        if tape is None:
-            tape = t.tape
-        elif tape is not t.tape:
+        if ref is None:
+            ref = t._tape
+        elif ref is not t._tape:
             raise ContractError("operands recorded on different tapes")
+    return None if ref is None else _deref(ref)
+
+
+def _deref(ref: weakref.ref) -> Tape:
+    tape = ref()
+    if tape is None:
+        raise ContractError("operand recorded on a tape that is gone")
     return tape
 
 
@@ -147,11 +177,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _flow(*terms) -> tuple:
+    """``(input, gradient thunk)`` pairs as ``(input, gradient)`` pairs, for
+    the recorded inputs only: no gradient is computed for a constant."""
+    return tuple((t, grad()) for t, grad in terms if t.node_id >= 0)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     tape = _result_tape(*parents)
     if tape is None:
         return Tensor(data)
-    return Tensor(data, tape=tape, parents=parents, backward=backward)
+    return Tensor(data, tape=tape, backward=backward)
 
 
 # -- elementwise primitives ---------------------------------------------
@@ -160,7 +196,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bw(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
+        return _flow((a, lambda: _unbroadcast(g, a.shape)),
+                     (b, lambda: _unbroadcast(g, b.shape)))
 
     return _make(out, (a, b), bw)
 
@@ -169,7 +206,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def bw(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
+        # negating after the reduction is exact and saves a full-size copy
+        return _flow((a, lambda: _unbroadcast(g, a.shape)),
+                     (b, lambda: -_unbroadcast(g, b.shape)))
 
     return _make(out, (a, b), bw)
 
@@ -182,8 +221,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def bw(g):
-        return ((a, _unbroadcast(g * b.data, a.shape)),
-                (b, _unbroadcast(g * a.data, b.shape)))
+        return _flow((a, lambda: _unbroadcast(g * b.data, a.shape)),
+                     (b, lambda: _unbroadcast(g * a.data, b.shape)))
 
     return _make(out, (a, b), bw)
 
@@ -194,8 +233,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out = a.data / b.data
 
     def bw(g):
-        return ((a, _unbroadcast(g / b.data, a.shape)),
-                (b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+        return _flow((a, lambda: _unbroadcast(g / b.data, a.shape)),
+                     (b, lambda: _unbroadcast(-g * a.data / (b.data * b.data),
+                                              b.shape)))
 
     return _make(out, (a, b), bw)
 
@@ -249,9 +289,22 @@ def gelu(a: Tensor) -> Tensor:
     out = 0.5 * x * (1.0 + th)
 
     def bw(g):
-        sech2 = 1.0 - th * th
-        d_inner = 0.7978845608028654 * (1.0 + 3.0 * 0.044715 * (x * x))
-        return ((a, g * (0.5 * (1.0 + th) + 0.5 * x * sech2 * d_inner)),)
+        # g * (0.5 * (1 + th) + 0.5 * x * sech2 * d_inner), each step in
+        # the same order but in place, in two fresh buffers
+        grad = th * th
+        np.subtract(1.0, grad, out=grad)                 # sech2
+        term = x * 0.5
+        term *= grad
+        d_inner = np.multiply(x, x, out=grad)
+        d_inner *= 3.0 * 0.044715
+        d_inner += 1.0
+        d_inner *= 0.7978845608028654
+        term *= d_inner
+        np.add(th, 1.0, out=grad)
+        grad *= 0.5
+        grad += term
+        grad *= g
+        return ((a, grad),)
 
     return _make(out, (a,), bw)
 
@@ -266,11 +319,19 @@ def layer_norm_op(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
     out = xhat * gain.data + bias.data
 
     def bw(g):
+        # inv * (gy - mean(gy) - xhat * mean(gy * xhat)), in place in gy
         gy = g * gain.data
-        gx = inv * (gy - gy.mean(axis=-1, keepdims=True)
-                    - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
+        gy_mean = gy.mean(axis=-1, keepdims=True)
+        buf = gy * xhat
+        proj = buf.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, proj, out=buf)
+        gy -= gy_mean
+        gy -= buf
+        gy *= inv
         red = tuple(range(g.ndim - 1))
-        return ((x, gx), (gain, (g * xhat).sum(axis=red)), (bias, g.sum(axis=red)))
+        return _flow((x, lambda: gy),
+                     (gain, lambda: np.multiply(g, xhat, out=buf).sum(axis=red)),
+                     (bias, lambda: g.sum(axis=red)))
 
     return _make(out, (x, gain, bias), bw)
 
@@ -311,13 +372,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         # contiguous transposes; matmul on strided views is several times slower
-        bt = np.ascontiguousarray(np.swapaxes(b.data, -1, -2))
-        at = np.ascontiguousarray(np.swapaxes(a.data, -1, -2))
-        ga = np.matmul(g, bt)
-        gb = np.matmul(at, g)
-        return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
+        return _flow(
+            (a, lambda: _unbroadcast(np.matmul(g, _transposed(b.data)), a.shape)),
+            (b, lambda: _unbroadcast(np.matmul(_transposed(a.data), g), b.shape)))
 
     return _make(out, (a, b), bw)
+
+
+def _transposed(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.swapaxes(x, -1, -2))
 
 
 # -- reductions -----------------------------------------------------------
@@ -326,8 +389,8 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
-        # read-only broadcast views are safe: gradient buffers are never
-        # mutated in place, only combined into fresh arrays
+        # read-only broadcast views are safe: backward never writes into a
+        # gradient it was handed, it only combines them into fresh arrays
         if axis is None:
             return ((a, np.broadcast_to(g, a.shape)),)
         gg = g if keepdims else np.expand_dims(g, axis)
@@ -358,8 +421,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return ((a, out * (g - inner)),)
+        grad = g * out
+        inner = grad.sum(axis=axis, keepdims=True)
+        np.subtract(g, inner, out=grad)
+        grad *= out
+        return ((a, grad),)
 
     return _make(out, (a,), bw)
 
@@ -445,8 +511,8 @@ def where_mask(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     out = a.data * mask_f + b.data * inv_f
 
     def bw(g):
-        return ((a, _unbroadcast(g * mask_f, a.shape)),
-                (b, _unbroadcast(g * inv_f, b.shape)))
+        return _flow((a, lambda: _unbroadcast(g * mask_f, a.shape)),
+                     (b, lambda: _unbroadcast(g * inv_f, b.shape)))
 
     return _make(out, (a, b), bw)
 
@@ -454,10 +520,20 @@ def where_mask(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 # -- backward pass --------------------------------------------------------
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
-    """Gradients of a scalar loss for every node on the tape.
+    """Gradients of a scalar loss for every leaf on the tape.
 
-    Returns a map node_id -> gradient array. Leaves the loss does not
-    reach get explicit zero gradients.
+    Returns a map leaf node_id -> gradient array; leaves the loss does not
+    reach get zeros. An inner node's gradient is dropped as soon as it has
+    been passed to the node's inputs, and none is returned. The walk leaves
+    the tape as it was, so the same tape can be walked again.
+
+    The leaf gradients are views into one buffer, allocated after the walk
+    while the graph is still alive, so glibc's malloc places it above the
+    graph. When the caller keeps the gradients and drops the graph, the
+    graph's memory is then a hole under live memory rather than free space
+    at the top of the heap, which malloc would hand back to the OS: the
+    next step of a training loop builds its graph in that hole instead of
+    faulting its pages in again.
     """
     if loss.tape is not tape or loss.node_id < 0:
         raise ContractError("loss is not recorded on this tape")
@@ -465,8 +541,10 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
     for node in reversed(tape.nodes[: loss.node_id + 1]):
-        g = grads.get(node.node_id)
-        if g is None or node._backward is None:
+        if node._backward is None:
+            continue
+        g = grads.pop(node.node_id, None)
+        if g is None:
             continue
         for parent, contribution in node._backward(g):
             pid = parent.node_id
@@ -477,7 +555,13 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
                 grads[pid] = grads[pid] + contribution
             else:
                 grads[pid] = contribution
-    for node in tape.nodes:
-        if node.is_leaf and node.node_id not in grads:
-            grads[node.node_id] = np.zeros_like(node.data)
-    return grads
+    leaves = [node for node in tape.nodes if node.is_leaf]
+    flat = np.zeros(sum(node.size for node in leaves))
+    out: dict[int, np.ndarray] = {}
+    offset = 0
+    for node in leaves:
+        out[node.node_id] = view = flat[offset:offset + node.size].reshape(node.shape)
+        if node.node_id in grads:
+            view[...] = grads[node.node_id]
+        offset += node.size
+    return out

@@ -25,7 +25,8 @@ from .runconfig import (DEFAULTS, build_configs, format_resolved,
                         parse_config_file, parse_setting, resolve)
 from .schedule import apply_skipping, build_sqrt_schedule, schedule_to_csv
 from .scheduler import sample_instructions_batch
-from .training import load_model, meta_train, plug_and_play_generate
+from .training import (load_model, meta_train, plug_and_play_arms,
+                       plug_and_play_generate)
 
 USER_ERRORS = (ConfigError, ContractError, JsonlParseError, ParameterError,
                ShapeError, TruncationError, FileNotFoundError, ValueError)
@@ -180,8 +181,11 @@ def cmd_analyze_difficulty(args) -> int:
         raise ConfigError(f"--k {args.k} is outside 1..{len(gens) // 2}, "
                           f"half the corpus of {len(gens)}")
     scores = np.array([bleu(g, [r]) if g else 0.0 for g, r in zip(gens, refs)])
-    hardest = np.argsort(scores, kind="stable")[:args.k]
-    easiest = np.argsort(-scores, kind="stable")[:args.k]
+    # both buckets from the two ends of one order, so ties cannot put a
+    # row in both; the easiest bucket runs from the top score down
+    order = np.argsort(scores, kind="stable")
+    hardest = order[:args.k]
+    easiest = order[::-1][:args.k]
     # one rollout: the first k rows are the hardest, the last k the easiest
     sched = _greedy_schedules(args.scheduler,
                               [srcs[i] for i in np.concatenate([hardest, easiest])])
@@ -205,20 +209,21 @@ def cmd_analyze_difficulty(args) -> int:
 
 def cmd_plug_and_play(args) -> int:
     [srcs] = load_jsonl_fields(args.src, ("src",), args.tokenizer)
-    picks, candidates = plug_and_play_generate(
-        args.scheduler, args.exploiter, srcs, RngStream(args.seed),
-        mbr_size=args.mbr, gen_steps=args.steps)
+    # the fixed-sqrt baseline, from the same seed, only for the comparison
+    arms = [(False, RngStream(args.seed))]
+    if args.ref:
+        arms.append((True, RngStream(args.seed)))
+    results = plug_and_play_arms(args.scheduler, args.exploiter, srcs, arms,
+                                 args.mbr, args.steps)
+    picks, candidates = results[0]
     _save_generations(args.out, srcs, picks, candidates)
-    base_picks, _ = plug_and_play_generate(
-        args.scheduler, args.exploiter, srcs, RngStream(args.seed),
-        mbr_size=args.mbr, gen_steps=args.steps, fixed_sqrt=True)
     report: dict = {"outputs": args.out, "sources": len(srcs)}
     if args.ref:
         [refs] = load_jsonl_fields(args.ref, ("trg",), args.tokenizer)
         if len(refs) != len(srcs):
             raise ConfigError(f"{len(srcs)} sources vs {len(refs)} references")
         report["scheduler"] = evaluate_corpus(picks, refs)
-        report["fixed-sqrt"] = evaluate_corpus(base_picks, refs)
+        report["fixed-sqrt"] = evaluate_corpus(results[1][0], refs)
     _emit(report, args.report)
     return 0
 

@@ -12,7 +12,6 @@ touched inside a round.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -337,14 +336,6 @@ def meta_train(train_pairs: list[SentencePair], heldout_pairs: list[SentencePair
                 theta = opt.step(theta, grads)
                 losses.append(loss)
                 steps_done += 1
-            # Each step's autodiff graph is a reference cycle (tape <-> nodes),
-            # freed only by the cyclic collector. Collecting the young
-            # generations here frees this epoch's graphs; left to the
-            # interpreter, a graph that is live when a collection runs is
-            # promoted and held until a full collection. A full collection
-            # would walk every object of the process, which costs more than
-            # the step itself when the caller's heap is large.
-            gc.collect(1)
             log({"event": "epoch", "epoch": epoch,
                  "loss": float(np.mean(losses)) if losses else None,
                  "steps_done": steps_done})
@@ -408,29 +399,38 @@ def plug_and_play_generate(scheduler_ckpt, exploiter_ckpt,
     maps unseen tokens to UNK. Weights are checksummed before and after to
     prove no fine-tuning happened.
     """
+    [arm] = plug_and_play_arms(scheduler_ckpt, exploiter_ckpt, srcs,
+                               [(fixed_sqrt, rng)], mbr_size, gen_steps)
+    return arm
+
+
+def plug_and_play_arms(scheduler_ckpt, exploiter_ckpt, srcs: list[list[str]],
+                       arms: list[tuple[bool, RngStream]], mbr_size: int = 1,
+                       gen_steps: int | None = None
+                       ) -> list[tuple[list[list[str]], list[list[list[str]]]]]:
+    """``plug_and_play_generate`` for several ``(fixed_sqrt, rng)`` arms,
+    loading and checksumming each checkpoint once; the scheduler checkpoint
+    is read only when an arm uses the policy."""
     expl_ck, e_cfg = load_model(exploiter_ckpt, "exploiter")
-    base = build_sqrt_schedule(e_cfg.steps)
+    checked = [expl_ck.params]
     sums = [params_checksum(expl_ck.params)]
-    if fixed_sqrt:
-        sched_ck = None
-        schedules = fixed_schedule(base)
-    else:
+    base = build_sqrt_schedule(e_cfg.steps)
+    schedules = {True: fixed_schedule(base)}
+    if not all(fixed for fixed, _ in arms):
         sched_ck, s_cfg = load_model(scheduler_ckpt, "scheduler")
         if s_cfg.decoder_len != e_cfg.steps:
             raise ConfigError(
                 f"scheduler decoder length {s_cfg.decoder_len} incompatible "
                 f"with exploiter diffusion steps {e_cfg.steps}")
+        checked.append(sched_ck.params)
         sums.append(params_checksum(sched_ck.params))
-        sched_vocab = Vocab(sched_ck.vocab_tokens)
-        _, schedules = _sentence_schedules(sched_ck.params, srcs, sched_vocab,
-                                           s_cfg, base, None, mode="greedy")
+        _, schedules[False] = _sentence_schedules(
+            sched_ck.params, srcs, Vocab(sched_ck.vocab_tokens), s_cfg, base,
+            None, mode="greedy")
     expl_vocab = Vocab(expl_ck.vocab_tokens)
-    picks, candidates = generate_with_mbr(expl_ck.params, expl_vocab, e_cfg,
-                                          srcs, schedules, rng, mbr_size,
-                                          gen_steps)
-    after = [params_checksum(expl_ck.params)]
-    if sched_ck is not None:
-        after.append(params_checksum(sched_ck.params))
-    if after != sums:
+    out = [generate_with_mbr(expl_ck.params, expl_vocab, e_cfg, srcs,
+                             schedules[fixed], rng, mbr_size, gen_steps)
+           for fixed, rng in arms]
+    if [params_checksum(params) for params in checked] != sums:
         raise ContractError("weights mutated during plug-and-play generation")
-    return picks, candidates
+    return out

@@ -166,3 +166,29 @@ def test_div_by_zero_raises():
 def test_log_domain_checked():
     with pytest.raises(ValueError):
         ad.log(Tensor([-1.0]))
+
+
+def test_op_on_a_tensor_whose_tape_is_gone_raises():
+    tape = Tape()
+    x = tape.leaf([1.0, 2.0])
+    del tape
+    with pytest.raises(ContractError):
+        x * 2.0
+    with pytest.raises(ContractError):
+        ad.exp(x)
+    with pytest.raises(ContractError):
+        x.tape
+
+
+def test_backward_walks_one_tape_twice_and_returns_leaves_only():
+    tape = Tape()
+    w = tape.leaf(np.arange(6.0).reshape(3, 2) / 7.0)
+    x = tape.leaf(np.linspace(-1.0, 1.0, 12).reshape(2, 2, 3))
+    h = ad.gelu(ad.matmul(x, w))
+    loss = ad.sum_(ad.softmax(h, axis=-1) * h) + ad.sum_(ad.layer_norm_op(
+        x, Tensor(np.ones(3)), Tensor(np.zeros(3))) * x)
+    first = backward(tape, loss)
+    second = backward(tape, loss)
+    assert set(first) == set(second) == {w.node_id, x.node_id}
+    for node_id in first:
+        assert np.array_equal(first[node_id], second[node_id])

@@ -1,9 +1,11 @@
+import collections
 import json
 import os
 
 import numpy as np
 import pytest
 
+from skipdiff import cli, training
 from skipdiff.cli import main
 from tabledata import QQP_BLOCK, QQP_MEAN_RANK
 
@@ -394,3 +396,54 @@ def test_bad_checkpoint_contents_exit_2_naming_the_path(tiny_run, src_file, tmp_
         assert run_cli("export-schedule", "--scheduler", bad, "--src", src_file,
                        "--out", str(tmp_path / "s.csv")) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+
+def test_analyze_difficulty_ties_fill_disjoint_buckets(tiny_run, tmp_path,
+                                                      monkeypatch):
+    # four exact generations: every score is BLEU 1.0
+    srcs = ["w00 w01 w02 w03", "w01 w02 w03 w04", "w02 w03 w04 w05",
+            "w03 w04 w05 w00"]
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text("".join(json.dumps({"src": s, "gen": s, "ref": s}) + "\n"
+                           for s in srcs))
+    rolled = []
+    real = cli._greedy_schedules
+
+    def recording(path, rows):
+        rolled.extend(srcs.index(" ".join(row)) for row in rows)
+        return real(path, rows)
+
+    monkeypatch.setattr(cli, "_greedy_schedules", recording)
+    code = run_cli("analyze-difficulty", "--gen", str(gen),
+                   "--scheduler", os.path.join(tiny_run, "checkpoints", "scheduler-final.bin"),
+                   "--k", "2", "--out", str(tmp_path / "d.csv"))
+    assert code == 0
+    assert set(rolled[:2]) == {0, 1}
+    assert set(rolled[2:]) == {2, 3}
+
+
+@pytest.mark.parametrize("with_ref", [False, True])
+def test_plug_and_play_loads_each_checkpoint_once(tiny_run, src_file, tmp_path,
+                                                  monkeypatch, with_ref):
+    loads = collections.Counter()
+    generations = []
+    real_load, real_generate = training.load_checkpoint, training.generate_with_mbr
+
+    def counting_load(path):
+        loads[os.path.basename(path)] += 1
+        return real_load(path)
+
+    def counting_generate(*args, **kwargs):
+        generations.append(args)
+        return real_generate(*args, **kwargs)
+
+    monkeypatch.setattr(training, "load_checkpoint", counting_load)
+    monkeypatch.setattr(training, "generate_with_mbr", counting_generate)
+    out = tmp_path / "pp.jsonl"
+    argv = ["plug-and-play",
+            "--scheduler", os.path.join(tiny_run, "checkpoints", "scheduler-final.bin"),
+            "--exploiter", os.path.join(tiny_run, "checkpoints", "exploiter-final.bin"),
+            "--src", src_file, "--out", str(out), "--steps", "4", "--seed", "3"]
+    assert run_cli(*argv, *(["--ref", src_file] if with_ref else [])) == 0
+    assert len(generations) == (2 if with_ref else 1)
+    assert loads == {"scheduler-final.bin": 1, "exploiter-final.bin": 1}

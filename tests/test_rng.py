@@ -90,3 +90,38 @@ def test_one_block_of_uniforms_equals_successive_rows(seed, start, steps, n):
     assert block.shape == (steps, n)
     assert np.array_equal(block, np.array(rows).reshape(steps, n))
     assert block_rng.position == row_rng.position == start + steps * n
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 2000),
+       n=st.integers(0, 40), kind=st.sampled_from(["normal", "uniform"]))
+def test_draw_from_a_position_equals_that_slice_of_a_draw_from_zero(seed, start, n,
+                                                                     kind):
+    whole = getattr(RngStream(seed), kind)((start + n,))
+    part = getattr(RngStream(seed, start), kind)((n,))
+    assert np.array_equal(part, whole[start:start + n])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), drawn=st.integers(1, 10**6),
+       key=st.lists(st.one_of(st.text(max_size=6), st.integers(-2**63, 2**63 - 1)),
+                    max_size=3))
+def test_fork_does_not_depend_on_the_parents_position(seed, drawn, key):
+    fresh = RngStream(seed)
+    moved = RngStream(seed, position=drawn)
+    a, b = fresh.fork(*key), moved.fork(*key)
+    assert a.seed == b.seed and a.position == b.position == 0
+    assert np.array_equal(a.normal((4,)), b.normal((4,)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       keys=st.lists(st.tuples(st.sampled_from(["epoch", "probe", "train-diff"]),
+                               st.integers(0, 10**4)),
+                     min_size=2, max_size=6, unique=True))
+def test_distinct_keys_give_distinct_streams(seed, keys):
+    root = RngStream(seed)
+    streams = [root.fork(*key) for key in keys]
+    assert len({s.seed for s in streams}) == len(keys)
+    draws = [s.uniform((4,)).tobytes() for s in streams]
+    assert len(set(draws)) == len(keys)

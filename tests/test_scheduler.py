@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,3 +200,17 @@ def test_rng_blocks_must_cover_the_batch():
     with pytest.raises(ContractError, match="cover 3 rows, batch has 4"):
         sample_instructions_batch(params, [["w00"]] * 4, VOCAB, cfg,
                                   [(2, RngStream(1)), (1, RngStream(2))])
+
+
+def test_dropped_instruction_batch_frees_its_tape():
+    cfg, params = make()
+    gc.disable()
+    try:
+        batch = sample_instructions_batch(params, [["w00"], ["w01", "w02"]], VOCAB,
+                                          cfg, RngStream(5), "stochastic")
+        tape = weakref.ref(batch.tape)
+        batch.score_gradients()
+        del batch
+        assert tape() is None
+    finally:
+        gc.enable()
