@@ -91,34 +91,34 @@ class Tensor:
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
-        return add(self, _coerce(other))
+        return add(self, const(other))
 
     def __radd__(self, other):
-        return add(_coerce(other), self)
+        return add(const(other), self)
 
     def __sub__(self, other):
-        return sub(self, _coerce(other))
+        return sub(self, const(other))
 
     def __rsub__(self, other):
-        return sub(_coerce(other), self)
+        return sub(const(other), self)
 
     def __mul__(self, other):
-        return mul(self, _coerce(other))
+        return mul(self, const(other))
 
     def __rmul__(self, other):
-        return mul(_coerce(other), self)
+        return mul(const(other), self)
 
     def __truediv__(self, other):
-        return div(self, _coerce(other))
+        return div(self, const(other))
 
     def __rtruediv__(self, other):
-        return div(_coerce(other), self)
+        return div(const(other), self)
 
     def __neg__(self):
         return neg(self)
 
     def __matmul__(self, other):
-        return matmul(self, _coerce(other))
+        return matmul(self, const(other))
 
     def __pow__(self, exponent):
         return pow_const(self, exponent)
@@ -127,15 +127,11 @@ class Tensor:
         return slice_(self, key)
 
 
-def _coerce(value) -> Tensor:
+def const(value) -> Tensor:
+    """A tensor as it is; anything else as a constant (never on a tape)."""
     if isinstance(value, Tensor):
         return value
     return Tensor(np.asarray(value, dtype=np.float64))
-
-
-def const(value) -> Tensor:
-    """Constant tensor (never on a tape)."""
-    return _coerce(value)
 
 
 def lift(params: dict[str, np.ndarray], tape: Tape | None) -> dict[str, Tensor]:
@@ -456,7 +452,7 @@ def slice_(a: Tensor, key) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [(_coerce(t)) for t in tensors]
+    tensors = [const(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)

@@ -23,10 +23,9 @@ from .metrics import (bleu, evaluate_corpus, mean_rank, rank_table_csv)
 from .rng import RngStream
 from .runconfig import (DEFAULTS, build_configs, format_resolved,
                         parse_config_file, parse_setting, resolve)
-from .schedule import apply_skipping, build_sqrt_schedule, schedule_to_csv
-from .scheduler import sample_instructions_batch
-from .training import (load_model, meta_train, plug_and_play_arms,
-                       plug_and_play_generate)
+from .schedule import schedule_to_csv
+from .scheduler import greedy_schedules
+from .training import load_model, meta_train, plug_and_play_generate
 
 USER_ERRORS = (ConfigError, ContractError, JsonlParseError, ParameterError,
                ShapeError, TruncationError, FileNotFoundError, ValueError)
@@ -100,10 +99,9 @@ def _save_generations(path, srcs, picks, candidates) -> None:
 
 def cmd_generate(args) -> int:
     [srcs] = load_jsonl_fields(args.src, ("src",), args.tokenizer)
-    rng = RngStream(args.seed)
-    picks, candidates = plug_and_play_generate(
-        args.scheduler, args.exploiter, srcs, rng, mbr_size=args.mbr,
-        gen_steps=args.steps, fixed_sqrt=args.scheduler is None)
+    [(picks, candidates)] = plug_and_play_generate(
+        args.scheduler, args.exploiter, srcs,
+        [(args.scheduler is None, RngStream(args.seed))], args.mbr, args.steps)
     _save_generations(args.out, srcs, picks, candidates)
     print(f"wrote {len(srcs)} generations to {args.out}")
     return 0
@@ -162,10 +160,7 @@ def cmd_evaluate(args) -> int:
 def _greedy_schedules(ckpt_path, srcs):
     """The policy's greedy schedules for ``srcs``, one row per source."""
     ckpt, s_cfg = load_model(ckpt_path, "scheduler")
-    vocab = Vocab(ckpt.vocab_tokens)
-    batch = sample_instructions_batch(ckpt.params, srcs, vocab, s_cfg,
-                                      None, mode="greedy")
-    return apply_skipping(batch.instructions, build_sqrt_schedule(s_cfg.decoder_len))
+    return greedy_schedules(ckpt.params, srcs, Vocab(ckpt.vocab_tokens), s_cfg)
 
 
 def cmd_analyze_difficulty(args) -> int:
@@ -213,8 +208,8 @@ def cmd_plug_and_play(args) -> int:
     arms = [(False, RngStream(args.seed))]
     if args.ref:
         arms.append((True, RngStream(args.seed)))
-    results = plug_and_play_arms(args.scheduler, args.exploiter, srcs, arms,
-                                 args.mbr, args.steps)
+    results = plug_and_play_generate(args.scheduler, args.exploiter, srcs, arms,
+                                     args.mbr, args.steps)
     picks, candidates = results[0]
     _save_generations(args.out, srcs, picks, candidates)
     report: dict = {"outputs": args.out, "sources": len(srcs)}

@@ -23,7 +23,8 @@ from .autodiff import (Tape, Tensor, backward, const, gather_rows, lift, neg,
 from .data import Vocab
 from .errors import ContractError, ParameterError, TruncationError
 from .rng import RngStream
-from .schedule import MetaInstructions
+from .schedule import (MetaInstructions, ScheduledNoise, apply_skipping,
+                       build_sqrt_schedule)
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,13 @@ def sample_instructions_batch(params, srcs: list[list[str]], vocab: Vocab,
     return InstructionBatch(instructions=MetaInstructions(bits_all),
                             probs=probs_all, row_log_prob=log_prob_rows,
                             tape=tape, leaves=pt if record else None)
+
+
+def greedy_schedules(params, srcs: list[list[str]], vocab: Vocab,
+                     cfg: SchedulerConfig) -> ScheduledNoise:
+    """The policy's greedy schedules for ``srcs``, one row per source."""
+    batch = sample_instructions_batch(params, srcs, vocab, cfg, None, mode="greedy")
+    return apply_skipping(batch.instructions, build_sqrt_schedule(cfg.decoder_len))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -99,13 +99,6 @@ class NonFiniteProbeLoss(ContractError):
         self.e: int | None = None
 
 
-def _sentence_schedules(psi, srcs, vocab, s_cfg, base, rng, mode="stochastic",
-                        record=False):
-    batch = policy.sample_instructions_batch(psi, srcs, vocab, s_cfg, rng,
-                                             mode, record=record)
-    return batch, apply_skipping(batch.instructions, base)
-
-
 def exploration_epoch(theta: dict[str, np.ndarray], psi: dict[str, np.ndarray],
                       minibatch: list[SentencePair], vocab: Vocab,
                       base: BaseSchedule, rng_e: RngStream,
@@ -114,9 +107,9 @@ def exploration_epoch(theta: dict[str, np.ndarray], psi: dict[str, np.ndarray],
     """One frozen-weight probe of the current policy."""
     srcs = [list(p.src) for p in minibatch]
     refs = [[list(p.tgt)] for p in minibatch]
-    inst_batch, schedules = _sentence_schedules(
-        psi, srcs, vocab, s_cfg, base, rng_e.fork("instructions"),
-        mode="stochastic", record=True)
+    inst_batch = policy.sample_instructions_batch(
+        psi, srcs, vocab, s_cfg, rng_e.fork("instructions"), "stochastic", True)
+    schedules = apply_skipping(inst_batch.instructions, base)
     encoded = encode_batch(minibatch, vocab, e_cfg.max_len)
     loss, grads = diffusion_loss(theta, encoded, schedules,
                                  rng_e.fork("probe-loss"), e_cfg)
@@ -245,11 +238,8 @@ def meta_train(train_pairs: list[SentencePair], heldout_pairs: list[SentencePair
         def evaluate(theta_now, psi_now, epoch):
             srcs = [list(p.src) for p in heldout_pairs]
             refs = [list(p.tgt) for p in heldout_pairs]
-            if t_cfg.fixed_sqrt:
-                schedules = flat
-            else:
-                _, schedules = _sentence_schedules(
-                    psi_now, srcs, vocab, s_cfg, base, None, mode="greedy")
+            schedules = (flat if t_cfg.fixed_sqrt
+                         else policy.greedy_schedules(psi_now, srcs, vocab, s_cfg))
             picks, _ = generate_with_mbr(theta_now, vocab, e_cfg, srcs, schedules,
                                          rng.fork("eval", epoch), t_cfg.eval_mbr,
                                          t_cfg.gen_steps)
@@ -388,34 +378,23 @@ def load_model(path, kind: str):
     return ckpt, cfg
 
 
-def plug_and_play_generate(scheduler_ckpt, exploiter_ckpt,
-                           srcs: list[list[str]], rng: RngStream,
-                           mbr_size: int = 1, gen_steps: int | None = None,
-                           fixed_sqrt: bool = False
-                           ) -> tuple[list[list[str]], list[list[list[str]]]]:
+def plug_and_play_generate(scheduler_ckpt, exploiter_ckpt, srcs: list[list[str]],
+                           arms: list[tuple[bool, RngStream]], mbr_size: int = 1,
+                           gen_steps: int | None = None
+                           ) -> list[tuple[list[list[str]], list[list[list[str]]]]]:
     """Schedule with one checkpoint, generate with another, update nothing.
 
-    The scheduler may come from a different dataset; its own vocabulary
-    maps unseen tokens to UNK. Weights are checksummed before and after to
-    prove no fine-tuning happened.
+    One ``(picks, candidates)`` per ``(fixed_sqrt, rng)`` arm: a fixed-sqrt
+    arm uses the base schedule, any other the policy's greedy schedules.
+    Each checkpoint is loaded once, and the scheduler's only when an arm
+    uses the policy. The scheduler may come from a different dataset; its
+    own vocabulary maps unseen tokens to UNK. Weights are checksummed
+    before and after to prove no fine-tuning happened.
     """
-    [arm] = plug_and_play_arms(scheduler_ckpt, exploiter_ckpt, srcs,
-                               [(fixed_sqrt, rng)], mbr_size, gen_steps)
-    return arm
-
-
-def plug_and_play_arms(scheduler_ckpt, exploiter_ckpt, srcs: list[list[str]],
-                       arms: list[tuple[bool, RngStream]], mbr_size: int = 1,
-                       gen_steps: int | None = None
-                       ) -> list[tuple[list[list[str]], list[list[list[str]]]]]:
-    """``plug_and_play_generate`` for several ``(fixed_sqrt, rng)`` arms,
-    loading and checksumming each checkpoint once; the scheduler checkpoint
-    is read only when an arm uses the policy."""
     expl_ck, e_cfg = load_model(exploiter_ckpt, "exploiter")
     checked = [expl_ck.params]
     sums = [params_checksum(expl_ck.params)]
-    base = build_sqrt_schedule(e_cfg.steps)
-    schedules = {True: fixed_schedule(base)}
+    schedules = {True: fixed_schedule(build_sqrt_schedule(e_cfg.steps))}
     if not all(fixed for fixed, _ in arms):
         sched_ck, s_cfg = load_model(scheduler_ckpt, "scheduler")
         if s_cfg.decoder_len != e_cfg.steps:
@@ -424,9 +403,8 @@ def plug_and_play_arms(scheduler_ckpt, exploiter_ckpt, srcs: list[list[str]],
                 f"with exploiter diffusion steps {e_cfg.steps}")
         checked.append(sched_ck.params)
         sums.append(params_checksum(sched_ck.params))
-        _, schedules[False] = _sentence_schedules(
-            sched_ck.params, srcs, Vocab(sched_ck.vocab_tokens), s_cfg, base,
-            None, mode="greedy")
+        schedules[False] = policy.greedy_schedules(
+            sched_ck.params, srcs, Vocab(sched_ck.vocab_tokens), s_cfg)
     expl_vocab = Vocab(expl_ck.vocab_tokens)
     out = [generate_with_mbr(expl_ck.params, expl_vocab, e_cfg, srcs,
                              schedules[fixed], rng, mbr_size, gen_steps)

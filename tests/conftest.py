@@ -24,9 +24,8 @@ from skipdiff.exploiter import ExploiterConfig
 from skipdiff.metrics import corpus_bleu, self_bleu
 from skipdiff.rng import RngStream
 from skipdiff.schedule import build_sqrt_schedule, fixed_schedule
-from skipdiff.scheduler import SchedulerConfig
-from skipdiff.training import (TrainConfig, _sentence_schedules,
-                               generate_with_mbr, meta_train)
+from skipdiff.scheduler import SchedulerConfig, greedy_schedules
+from skipdiff.training import TrainConfig, generate_with_mbr, meta_train
 
 SORT_SEEDS = (11, 12, 13, 14, 15)
 SORT_E_CFG = ExploiterConfig(layers=2, heads=4, model_dim=32, steps=64,
@@ -74,8 +73,7 @@ def _train_arm(seed: int, fixed: bool, run_dir: str, train, heldout, vocab,
     if fixed:
         schedules = fixed_schedule(base)
     else:
-        _, schedules = _sentence_schedules(result.scheduler, srcs, vocab,
-                                           SORT_S_CFG, base, None, mode="greedy")
+        schedules = greedy_schedules(result.scheduler, srcs, vocab, SORT_S_CFG)
     bleus, sbleus = [], []
     for rep in range(EVAL_REPLICAS):
         picks, _ = generate_with_mbr(result.exploiter, vocab, SORT_E_CFG, srcs,

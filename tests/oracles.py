@@ -6,10 +6,10 @@ production path it checks.
 
 import numpy as np
 
-from skipdiff.autodiff import const, where_mask
+from skipdiff.autodiff import const
 from skipdiff.data import EOS, SEP, EncodedBatch, Vocab
 from skipdiff.metrics import MAX_ORDER, _bleu_from_stats
-from skipdiff.exploiter import ExploiterConfig, LatentState, _assert_anchored
+from skipdiff.exploiter import ExploiterConfig, LatentState, _anchored
 from skipdiff.rng import RngStream
 from skipdiff.schedule import ScheduledNoise
 
@@ -43,11 +43,7 @@ def forward_diffuse_stepwise(state: LatentState, t: int, schedule: ScheduledNois
         beta = 1.0 - alpha[:, s] / alpha[:, s - 1]
         beta = beta[:, None, None]
         x = np.sqrt(1.0 - beta) * x + np.sqrt(beta) * rng.normal(x.shape)
-    z_t = where_mask(state.canvas_mask[..., None], const(x), state.anchor)
-    out = LatentState(z=z_t, condition_mask=state.condition_mask,
-                      anchor=state.anchor)
-    _assert_anchored(out)
-    return out
+    return _anchored(const(x), state.condition_mask, state.anchor)
 
 
 def recompute_log_prob(bits: np.ndarray, probs: np.ndarray) -> float:

@@ -12,6 +12,7 @@ from conftest import (EVAL_MBR, GEN_STEPS, SORT_E_CFG, SORT_S_CFG, SORT_SEEDS)
 from oracles import forward_diffuse_stepwise
 from tabledata import QQP_BLOCK, QQP_MEAN_RANK
 
+from skipdiff.autodiff import lift
 from skipdiff.checkpoint import save_checkpoint
 from skipdiff.cli import main as cli_main
 from skipdiff.data import SentencePair, encode_batch, generate_synthetic, synthetic_vocab
@@ -122,7 +123,7 @@ def test_diffusion_marginal_consistency():
     base = build_sqrt_schedule(cfg.steps)
     schedule = apply_skipping(
         MetaInstructions([1, 0, 1, 1, 0, 1, 0, 1, 1, 1, 0, 1]), base)
-    z0 = embed_and_sample_z0(batch, params, schedule, RngStream(5), cfg)
+    z0 = embed_and_sample_z0(batch, lift(params, None), schedule, RngStream(5), cfg)
     t0 = time.perf_counter()
     worst_sigma = 0.0
     for idx, t in enumerate((1, 3, 6, 9, 12)):
@@ -166,7 +167,8 @@ def test_partial_noise_invariant(tmp_path):
     schedule = fixed_schedule(base)
     batch = encode_batch(train[:4], vocab, cfg.max_len)
     rng = RngStream(9)
-    z0 = embed_and_sample_z0(batch, result.exploiter, schedule, rng, cfg)
+    z0 = embed_and_sample_z0(batch, lift(result.exploiter, None), schedule, rng,
+                             cfg)
     checks = [np.array_equal(z0.z.data[batch.condition_mask],
                              z0.anchor.data[batch.condition_mask])]
     for t in (1, 8, 16):
@@ -351,12 +353,12 @@ def test_plug_and_play_protocol(sort_study, tmp_path):
     expl_ckpt = sort_study.meta[SORT_SEEDS[0]].exploiter_ckpt
     srcs = sort_study.srcs[:32]
     refs = sort_study.refs[:32]
-    cross, _ = plug_and_play_generate(rev_run.scheduler_ckpt, expl_ckpt, srcs,
-                                      RngStream(3), mbr_size=EVAL_MBR,
-                                      gen_steps=GEN_STEPS)
-    own, _ = plug_and_play_generate(None, expl_ckpt, srcs, RngStream(3),
-                                    mbr_size=EVAL_MBR, gen_steps=GEN_STEPS,
-                                    fixed_sqrt=True)
+    [(cross, _)] = plug_and_play_generate(rev_run.scheduler_ckpt, expl_ckpt, srcs,
+                                          [(False, RngStream(3))],
+                                          mbr_size=EVAL_MBR, gen_steps=GEN_STEPS)
+    [(own, _)] = plug_and_play_generate(None, expl_ckpt, srcs,
+                                        [(True, RngStream(3))],
+                                        mbr_size=EVAL_MBR, gen_steps=GEN_STEPS)
     rows = {
         "cross-task scheduler": corpus_bleu(cross, refs),
         "own-noise baseline": corpus_bleu(own, refs),

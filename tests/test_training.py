@@ -284,10 +284,12 @@ def test_plug_and_play_own_scheduler_matches_generate(tmp_path):
     result = meta_train(pairs(8), [], VOCAB, str(tmp_path / "run"),
                         E_CFG, S_CFG, t_cfg(max_epochs=1))
     srcs = [list(p.src) for p in pairs(3, seed=50)]
-    a, _ = plug_and_play_generate(result.scheduler_ckpt, result.exploiter_ckpt,
-                                  srcs, RngStream(9), mbr_size=2, gen_steps=4)
-    b, _ = plug_and_play_generate(result.scheduler_ckpt, result.exploiter_ckpt,
-                                  srcs, RngStream(9), mbr_size=2, gen_steps=4)
+    [(a, _)] = plug_and_play_generate(result.scheduler_ckpt, result.exploiter_ckpt,
+                                      srcs, [(False, RngStream(9))], mbr_size=2,
+                                      gen_steps=4)
+    [(b, _)] = plug_and_play_generate(result.scheduler_ckpt, result.exploiter_ckpt,
+                                      srcs, [(False, RngStream(9))], mbr_size=2,
+                                      gen_steps=4)
     assert a == b
 
 
@@ -298,13 +300,12 @@ def test_plug_and_play_all_true_equals_fixed_sqrt(tmp_path):
                                         decoder_len=16, head_bias_init=1000.0),
                         t_cfg(max_epochs=0))
     srcs = [list(p.src) for p in pairs(3, seed=51)]
-    via_policy, _ = plug_and_play_generate(result.scheduler_ckpt,
-                                           result.exploiter_ckpt, srcs,
-                                           RngStream(4), gen_steps=4)
-    via_fixed, _ = plug_and_play_generate(result.scheduler_ckpt,
-                                          result.exploiter_ckpt, srcs,
-                                          RngStream(4), gen_steps=4,
-                                          fixed_sqrt=True)
+    [(via_policy, _)] = plug_and_play_generate(result.scheduler_ckpt,
+                                               result.exploiter_ckpt, srcs,
+                                               [(False, RngStream(4))], gen_steps=4)
+    [(via_fixed, _)] = plug_and_play_generate(result.scheduler_ckpt,
+                                              result.exploiter_ckpt, srcs,
+                                              [(True, RngStream(4))], gen_steps=4)
     assert via_policy == via_fixed
 
 
@@ -319,7 +320,7 @@ def test_plug_and_play_t_mismatch_rejected(tmp_path):
                        t_cfg(max_epochs=0))
     with pytest.raises(ConfigError):
         plug_and_play_generate(result16.scheduler_ckpt, other.exploiter_ckpt,
-                               [["w00"]], RngStream(1))
+                               [["w00"]], [(False, RngStream(1))])
 
 
 def test_plug_and_play_cross_task_runs(tmp_path):
@@ -330,9 +331,10 @@ def test_plug_and_play_cross_task_runs(tmp_path):
     rev_run = meta_train(rev_pairs, [], VOCAB, str(tmp_path / "rev"),
                          E_CFG, S_CFG, t_cfg(max_epochs=1))
     srcs = [list(p.src) for p in pairs(4, seed=52)]
-    picks, cands = plug_and_play_generate(rev_run.scheduler_ckpt,
-                                          copy_run.exploiter_ckpt, srcs,
-                                          RngStream(2), mbr_size=2, gen_steps=4)
+    [(picks, cands)] = plug_and_play_generate(rev_run.scheduler_ckpt,
+                                              copy_run.exploiter_ckpt, srcs,
+                                              [(False, RngStream(2))], mbr_size=2,
+                                              gen_steps=4)
     assert len(picks) == 4
     assert all(len(c) == 2 for c in cands)
     ck = load_checkpoint(rev_run.scheduler_ckpt)
