@@ -39,7 +39,7 @@ def save_checkpoint(path, kind: str, config: dict,
     blobs = []
     payload = bytearray()
     for name in sorted(params):
-        arr = np.ascontiguousarray(params[name], dtype=np.float64)
+        arr = np.asarray(params[name], dtype=np.float64, order="C")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"weight {name!r} contains non-finite values")
         blobs.append({"name": name, "shape": list(arr.shape),

@@ -64,8 +64,8 @@ def cmd_train(args) -> int:
     file_cfg = parse_config_file(args.config) if args.config else {}
     overrides = _flag_overrides(args)
     cfg = resolve(file_cfg, overrides)
-    train, heldout, vocab = _build_corpus(cfg)
     e_cfg, s_cfg, t_cfg = build_configs(cfg)
+    train, heldout, vocab = _build_corpus(cfg)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "config.resolved"), format_resolved(cfg))
     tag = cfg["dataset_tag"] or (cfg["data"] or f"synthetic-{cfg['task']}")
@@ -111,6 +111,7 @@ def cmd_generate(args) -> int:
 
 def _load_systems_csv(path) -> dict[str, dict[str, float]]:
     table: dict[str, dict[str, float]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header[:3] != ["method", "metric", "value"]:
@@ -123,6 +124,10 @@ def _load_systems_csv(path) -> dict[str, dict[str, float]]:
                 raise ConfigError(f"{path}:{lineno}: expected method,metric,value, "
                                   f"got {line.strip()!r}")
             method, metric, value = fields[:3]
+            first = first_line.setdefault((method, metric), lineno)
+            if first != lineno:
+                raise ConfigError(f"{path}:{lineno}: duplicate score for method "
+                                  f"{method!r}, metric {metric!r} (first on line {first})")
             table.setdefault(method, {})[metric] = (None if value in ("", "-")
                                                     else _finite(value, path, lineno))
     return table
@@ -320,12 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "generate":
-        if (args.scheduler is None) == (not args.fixed_sqrt):
-            parser.error("generate needs exactly one of --scheduler / --fixed-sqrt")
-    if args.command == "evaluate":
-        if not (args.systems or (args.gen and args.ref)):
-            parser.error("evaluate needs --systems, or both --gen and --ref")
+    if args.command == "generate" and (args.scheduler is None) == (not args.fixed_sqrt):
+        parser.error("generate needs exactly one of --scheduler / --fixed-sqrt")
+    if args.command in ("generate", "plug-and-play") and args.mbr < 1:
+        parser.error(f"--mbr must be >= 1, got {args.mbr}")
+    if args.command == "evaluate" and not (args.systems or (args.gen and args.ref)):
+        parser.error("evaluate needs --systems, or both --gen and --ref")
     try:
         return args.func(args)
     except USER_ERRORS as exc:

@@ -10,7 +10,19 @@ class ContractError(ValueError):
 
 
 class ParameterError(ValueError):
-    """A numeric hyperparameter is outside its valid range."""
+    """A numeric hyperparameter is outside its valid range (config ``field``)."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+def check_minimums(cfg, minimums: dict[str, int]) -> None:
+    """Raise a ``ParameterError`` for the first field of ``cfg`` below its minimum."""
+    for name, low in minimums.items():
+        if getattr(cfg, name) < low:
+            raise ParameterError(f"{name} must be >= {low}, got {getattr(cfg, name)!r}",
+                                 name)
 
 
 class TruncationError(ValueError):

@@ -5,10 +5,11 @@ mapping is persisted verbatim next to every training run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .exploiter import ExploiterConfig
 from .scheduler import SchedulerConfig
 from .training import TrainConfig
@@ -57,9 +58,13 @@ DEFAULTS: dict[str, object] = {
 
 def build_configs(config: dict[str, object]
                   ) -> tuple[ExploiterConfig, SchedulerConfig, TrainConfig]:
-    """The exploiter, scheduler and training configs a resolved mapping sets."""
-    return tuple(cls(**{f.name: config[_key(f.name)] for f in fields(cls)})
-                 for cls in CONFIG_CLASSES)
+    """The exploiter, scheduler and training configs a resolved mapping sets;
+    a value out of its field's range is a ``ConfigError`` naming the key."""
+    try:
+        return tuple(cls(**{f.name: config[_key(f.name)] for f in fields(cls)})
+                     for cls in CONFIG_CLASSES)
+    except ParameterError as exc:
+        raise ConfigError(f"configuration key {_key(exc.field)!r}: {exc}") from exc
 
 
 def _coerce(key: str, raw: str, where: str) -> object:
@@ -79,9 +84,12 @@ def _coerce(key: str, raw: str, where: str) -> object:
             raise ConfigError(f"{cannot} an integer") from exc
     if isinstance(default, float):
         try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{cannot} a number") from exc
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError(f"{cannot} a finite number")
+        return value
     return raw
 
 
@@ -89,7 +97,8 @@ def parse_setting(text: str, where: str) -> tuple[str, object]:
     """One ``key=value`` setting, typed like the key's default.
 
     Used for config-file lines and ``--set`` alike; ``where`` (``path:line``
-    or ``--set``) starts every error message. Unknown keys fail.
+    or ``--set``) starts every error message. Unknown keys, non-finite
+    numbers and line breaks, which ``config.resolved`` cannot hold, fail.
     """
     key, sep, raw = text.partition("=")
     key = key.strip()
@@ -97,6 +106,8 @@ def parse_setting(text: str, where: str) -> tuple[str, object]:
         raise ConfigError(f"{where}: expected key=value, got {text!r}")
     if key not in DEFAULTS:
         raise ConfigError(f"{where}: unknown key {key!r}")
+    if len(f"{raw}.".splitlines()) > 1:
+        raise ConfigError(f"{where}: key {key!r}: value {raw!r} holds a line break")
     return key, _coerce(key, raw.strip(), where)
 
 

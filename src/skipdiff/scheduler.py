@@ -21,7 +21,7 @@ from . import nn
 from .autodiff import (Tape, Tensor, backward, const, gather_rows, lift, neg,
                        reshape, softplus, sum_, where_mask)
 from .data import Vocab
-from .errors import ContractError, ParameterError, TruncationError
+from .errors import ContractError, ParameterError, TruncationError, check_minimums
 from .rng import RngStream
 from .schedule import (MetaInstructions, ScheduledNoise, apply_skipping,
                        build_sqrt_schedule)
@@ -37,6 +37,10 @@ class SchedulerConfig:
     # (mostly-True instructions), so early training matches the known-good
     # fixed noise and exploration perturbs it gradually.
     head_bias_init: float = 3.0
+
+    def __post_init__(self):
+        check_minimums(self, {"embed_dim": 1, "hidden_dim": 1, "encoder_max_len": 1,
+                              "decoder_len": 1})
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -22,7 +22,7 @@ import numpy as np
 from . import scheduler as policy
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SentencePair, Vocab, encode_batch
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_minimums
 from .exploiter import (ExploiterConfig, diffusion_loss, generate_batch,
                         init_exploiter_params, mbr_select, params_checksum)
 from .exploiter import param_shapes as exploiter_shapes
@@ -56,8 +56,11 @@ class TrainConfig:
     fixed_sqrt: bool = False             # baseline arm: no policy, base noise
 
     def __post_init__(self):
-        if self.exploration_epochs < 1:
-            raise ConfigError("exploration_epochs must be >= 1")
+        # sizes >= 1; counts where 0 means "off" or "none" >= 0
+        check_minimums(self, {"exploration_epochs": 1, "total_batch": 1, "gen_steps": 1,
+                              "eval_mbr": 1, "threads": 1, "scheduler_update_period": 0,
+                              "max_epochs": 0, "max_steps": 0, "eval_every": 0,
+                              "checkpoint_every": 0, "early_stop_patience": 0})
         if self.total_batch % self.exploration_epochs != 0:
             raise ConfigError(
                 f"exploration_epochs {self.exploration_epochs} must divide "

@@ -1,8 +1,12 @@
 import json
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from skipdiff import checkpoint
 from skipdiff.checkpoint import load_checkpoint, save_checkpoint
@@ -28,6 +32,43 @@ def test_roundtrip_bit_exact(tmp_path):
     assert set(ck.params) == set(params)
     for name in params:
         assert ck.params[name].tobytes() == params[name].tobytes()
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner), max_leaves=8)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+WEIGHTS = st.dictionaries(
+    st.text(), hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=FINITE)), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.text(), config=st.dictionaries(st.text(), JSON), params=WEIGHTS,
+       vocab=st.lists(st.text()), tag=st.text(), data=st.data())
+def test_roundtrip_property(kind, config, params, vocab, tag, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = os.path.join(tmp, "a.bin"), os.path.join(tmp, "b.bin")
+        save_checkpoint(path, kind, config, params, vocab, tag)
+        ck = load_checkpoint(path)
+        assert (ck.kind, ck.config, ck.vocab_tokens, ck.dataset_tag) == (
+            kind, config, vocab, tag)
+        assert ck.params.keys() == params.keys()
+        for name, arr in params.items():
+            assert ck.params[name].shape == arr.shape
+            assert ck.params[name].tobytes() == arr.tobytes()
+        save_checkpoint(again, ck.kind, ck.config, ck.params, ck.vocab_tokens,
+                        ck.dataset_tag)
+        assert open(again, "rb").read() == open(path, "rb").read()
+        sized = [name for name, arr in params.items() if arr.size]
+        if sized:
+            name = data.draw(st.sampled_from(sized))
+            bad = params[name].copy()
+            bad.flat[data.draw(st.integers(0, bad.size - 1))] = data.draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+            with pytest.raises(ValueError):
+                save_checkpoint(path, kind, config, {**params, name: bad}, vocab, tag)
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -241,6 +241,15 @@ def test_systems_csv_errors_name_file_and_line(tmp_path, capsys, row):
     assert f"error: {csv_path}:4: " in capsys.readouterr().err
 
 
+def test_systems_csv_duplicate_score_names_both_lines(tmp_path, capsys):
+    csv_path = tmp_path / "systems.csv"
+    csv_path.write_text("method,metric,value\nA,BLEU,0.3\nB,BLEU,0.2\nA,BLEU,0.1\n")
+    assert run_cli("evaluate", "--systems", str(csv_path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv_path}:4: duplicate score for method 'A', metric 'BLEU' "
+        "(first on line 2)\n")
+
+
 def test_evaluate_two_system_dominance(tmp_path, capsys):
     csv_path = tmp_path / "two.csv"
     csv_path.write_text("method,metric,value\n"
@@ -367,6 +376,8 @@ def rewrite_header(src, dst, edit) -> None:
     ("scheduler", lambda h: h.pop("blobs"), "checkpoint header needs 'blobs' as a list"),
     ("scheduler", lambda h: h["config"].update(bogus=1),
      "bad scheduler checkpoint config: "),
+    ("scheduler", lambda h: h["config"].update(hidden_dim=0),
+     "bad scheduler checkpoint config: hidden_dim must be >= 1, got 0"),
     ("scheduler", lambda h: h["config"].update(hidden_dim=4),
      "weight 'dec.b' has shape (32,), its config gives (16,)"),
     ("scheduler", lambda h: h["vocab"].pop(),
@@ -377,7 +388,8 @@ def rewrite_header(src, dst, edit) -> None:
      "weight 'block1.attn.bo' has shape None, its config gives (16,)"),
     ("exploiter", lambda h: h.update(kind="scheduler"),
      "a 'scheduler' checkpoint, expected 'exploiter'"),
-], ids=["no-blobs", "scheduler-unknown-key", "scheduler-shape", "vocab-size",
+], ids=["no-blobs", "scheduler-unknown-key", "scheduler-range", "scheduler-shape",
+        "vocab-size",
         "exploiter-unknown-key", "exploiter-missing-weights", "wrong-kind"])
 def test_bad_checkpoint_contents_exit_2_naming_the_path(tiny_run, src_file, tmp_path,
                                                         capsys, kind, edit, message):
@@ -447,3 +459,36 @@ def test_plug_and_play_loads_each_checkpoint_once(tiny_run, src_file, tmp_path,
     assert run_cli(*argv, *(["--ref", src_file] if with_ref else [])) == 0
     assert len(generations) == (2 if with_ref else 1)
     assert loads == {"scheduler-final.bin": 1, "exploiter-final.bin": 1}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("heads", "0"), ("model_dim", "0"), ("sched_hidden", "0"), ("layers", "0"),
+    ("T", "0"), ("max_len", "3"), ("max_steps", "-3"), ("total_batch", "0"),
+    ("gen_steps", "0"), ("eval_mbr", "0"), ("threads", "0"), ("epochs", "-1"),
+    ("checkpoint_every", "-1"), ("lr_exploiter", "nan"), ("probe_lr", "-inf"),
+    ("dataset_tag", "a\nb"), ("dataset_tag", "a\u2028b"),
+])
+def test_train_bad_value_exits_2_naming_the_key_before_writing(tmp_path, capsys,
+                                                              key, value):
+    out = tmp_path / "run"
+    small = ["model_dim=16", "heads=2", "layers=1", "T=8", "max_len=10",
+             "vocab_size=6", "len_min=1", "len_max=3", "train_size=8",
+             "heldout_size=2", "total_batch=8", "exploration_epochs=2",
+             "ffn_mult=2", "sched_hidden=8", "epochs=1", "gen_steps=4"]
+    argv = [arg for text in [*small, f"{key}={value}"] for arg in ("--set", text)]
+    assert run_cli("train", "--task", "copy", "--out", str(out), *argv) == 2
+    assert f"key {key!r}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "plug-and-play"])
+def test_mbr_below_one_is_rejected(tiny_run, src_file, tmp_path, capsys, command):
+    ckpt = os.path.join(tiny_run, "checkpoints")
+    argv = [command, "--exploiter", os.path.join(ckpt, "exploiter-final.bin"),
+            "--scheduler", os.path.join(ckpt, "scheduler-final.bin"),
+            "--src", src_file, "--out", str(tmp_path / "gen.jsonl"), "--mbr", "0"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "--mbr must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "gen.jsonl").exists()

@@ -1,10 +1,16 @@
 import ast
+import os
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
 import skipdiff
+from skipdiff.errors import ConfigError
 from skipdiff.exploiter import ExploiterConfig
-from skipdiff.runconfig import DEFAULTS, build_configs, resolve
+from skipdiff.runconfig import (DEFAULTS, build_configs, format_resolved,
+                                parse_config_file, parse_setting, resolve)
 from skipdiff.scheduler import SchedulerConfig
 from skipdiff.training import TrainConfig
 
@@ -79,3 +85,27 @@ def test_every_config_field_is_read():
               for cls in (ExploiterConfig, SchedulerConfig, TrainConfig)
               for f in fields(cls) if f.name not in read]
     assert unread == []
+
+
+# Values of every type a key can hold, and any text at all.
+VALUE_TEXT = (st.text() | st.integers().map(str) | st.floats().map(repr)
+              | st.booleans().map(str) | st.sampled_from(["nan", "-inf", "1e999"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(DEFAULTS)), VALUE_TEXT)))
+def test_resolved_config_round_trips(settings_text):
+    overrides = {}
+    for key, raw in settings_text:
+        try:
+            parsed_key, value = parse_setting(f"{key}={raw}", "--set")
+        except ConfigError:
+            continue
+        overrides[parsed_key] = value
+    config = resolve({}, overrides)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.resolved")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(format_resolved(config))
+        assert parse_config_file(path) == config
+
