@@ -98,7 +98,7 @@ def parse_setting(text: str, where: str) -> tuple[str, object]:
 
     Used for config-file lines and ``--set`` alike; ``where`` (``path:line``
     or ``--set``) starts every error message. Unknown keys, non-finite
-    numbers and line breaks, which ``config.resolved`` cannot hold, fail.
+    numbers, and values ``config.resolved`` cannot hold on one UTF-8 line fail.
     """
     key, sep, raw = text.partition("=")
     key = key.strip()
@@ -106,8 +106,8 @@ def parse_setting(text: str, where: str) -> tuple[str, object]:
         raise ConfigError(f"{where}: expected key=value, got {text!r}")
     if key not in DEFAULTS:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    if len(f"{raw}.".splitlines()) > 1:
-        raise ConfigError(f"{where}: key {key!r}: value {raw!r} holds a line break")
+    if len(f"{raw}.".splitlines()) > 1 or any("\ud800" <= c <= "\udfff" for c in raw):
+        raise ConfigError(f"{where}: key {key!r}: value {raw!r} is not one line of UTF-8")
     return key, _coerce(key, raw.strip(), where)
 
 

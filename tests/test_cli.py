@@ -466,7 +466,7 @@ def test_plug_and_play_loads_each_checkpoint_once(tiny_run, src_file, tmp_path,
     ("T", "0"), ("max_len", "3"), ("max_steps", "-3"), ("total_batch", "0"),
     ("gen_steps", "0"), ("eval_mbr", "0"), ("threads", "0"), ("epochs", "-1"),
     ("checkpoint_every", "-1"), ("lr_exploiter", "nan"), ("probe_lr", "-inf"),
-    ("dataset_tag", "a\nb"), ("dataset_tag", "a\u2028b"),
+    ("dataset_tag", "a\nb"), ("dataset_tag", "a\u2028b"), ("dataset_tag", "a\udcffb"),
 ])
 def test_train_bad_value_exits_2_naming_the_key_before_writing(tmp_path, capsys,
                                                               key, value):

@@ -87,8 +87,9 @@ def test_every_config_field_is_read():
     assert unread == []
 
 
-# Values of every type a key can hold, and any text at all.
-VALUE_TEXT = (st.text() | st.integers().map(str) | st.floats().map(repr)
+# Values of every type a key can hold, and any text at all, lone surrogates
+# (how undecodable command-line bytes arrive) included.
+VALUE_TEXT = (st.text(st.characters(exclude_categories=())) | st.integers().map(str) | st.floats().map(repr)
               | st.booleans().map(str) | st.sampled_from(["nan", "-inf", "1e999"]))
 
 
