@@ -67,7 +67,7 @@ def build_configs(config: dict[str, object]
         raise ConfigError(f"configuration key {_key(exc.field)!r}: {exc}") from exc
 
 
-def _coerce(key: str, raw: str, where: str) -> object:
+def _typed_value(key: str, raw: str, where: str) -> object:
     default = DEFAULTS[key]
     cannot = f"{where}: key {key!r}: cannot parse {raw!r} as"
     if isinstance(default, bool):
@@ -108,7 +108,7 @@ def parse_setting(text: str, where: str) -> tuple[str, object]:
         raise ConfigError(f"{where}: unknown key {key!r}")
     if len(f"{raw}.".splitlines()) > 1 or any("\ud800" <= c <= "\udfff" for c in raw):
         raise ConfigError(f"{where}: key {key!r}: value {raw!r} is not one line of UTF-8")
-    return key, _coerce(key, raw.strip(), where)
+    return key, _typed_value(key, raw.strip(), where)
 
 
 def parse_config_file(path) -> dict[str, object]:
