@@ -280,9 +280,16 @@ def pow_const(a: Tensor, exponent: float) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Smooth gelu (tanh form), fused as one node for speed."""
     x = a.data
-    inner = 0.7978845608028654 * (x + 0.044715 * (x * x * x))
-    th = np.tanh(inner)
-    out = 0.5 * x * (1.0 + th)
+    # 0.5 * x * (1 + tanh(0.79788... * (x + 0.044715 * x**3))), each
+    # operation as written (products and sums commute exactly) but in place
+    th = x * x
+    th *= x
+    th *= 0.044715
+    th += x
+    th *= 0.7978845608028654
+    np.tanh(th, out=th)
+    out = x * 0.5
+    out *= 1.0 + th
 
     def bw(g):
         # g * (0.5 * (1 + th) + 0.5 * x * sech2 * d_inner), each step in
@@ -311,8 +318,10 @@ def layer_norm_op(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    xhat = xc
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def bw(g):
         # inv * (gy - mean(gy) - xhat * mean(gy * xhat)), in place in gy
@@ -337,10 +346,14 @@ def tanh(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: ((a, g * (1.0 - out * out)),))
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) of an array, computed without overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = logistic(a.data)
     return _make(out, (a,), lambda g: ((a, g * out * (1.0 - out)),))
 
 
@@ -349,12 +362,7 @@ def softplus(a: Tensor) -> Tensor:
     x = a.data
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
-    def bw(g):
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return ((a, g * s),)
-
-    return _make(out, (a,), bw)
+    return _make(out, (a,), lambda g: ((a, g * logistic(x)),))
 
 
 # -- linear algebra -------------------------------------------------------
@@ -412,9 +420,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-shifted softmax along one axis; rows sum to one."""
     if a.data.size == 0 or a.data.shape[axis] == 0:
         raise ShapeError("softmax over an empty axis")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = a.data - _max_along(a.data, axis)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def bw(g):
         grad = g * out
@@ -426,6 +434,26 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), bw)
 
 
+def _max_along(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x.max(axis, keepdims=True)``: the same values either way, though a
+    zero maximum may carry either sign.
+
+    numpy's reduction runs its inner loop once per row, which is slow when
+    the axis is short and the rows many (attention's keys). There, elementwise
+    maxima folded one index at a time are faster; float64, 2560 rows of 20:
+    177 -> 88 us. With fewer than 32 rows per index, or more than 32
+    indices, the reduction is as fast or faster.
+    """
+    n = x.shape[axis]
+    if n > 32 or x.size < 32 * n * n:
+        return x.max(axis=axis, keepdims=True)
+    cols = np.moveaxis(x, axis, 0)
+    out = np.array(cols[0])
+    for col in cols[1:]:
+        np.maximum(out, col, out=out)
+    return np.expand_dims(out, axis)
+
+
 # -- structural primitives ------------------------------------------------
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -435,9 +463,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
     out = a.data.transpose(axes)
-    return _make(out, (a,), lambda g: ((a, g.transpose(inverse)),))
+    return _make(out, (a,), lambda g: ((a, g.transpose(np.argsort(axes))),))
 
 
 def slice_(a: Tensor, key) -> Tensor:

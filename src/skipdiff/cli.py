@@ -8,6 +8,7 @@ with identical inputs produces byte-identical primary outputs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -29,6 +30,32 @@ from .training import load_model, meta_train, plug_and_play_generate
 
 USER_ERRORS = (ConfigError, ContractError, JsonlParseError, ParameterError,
                ShapeError, TruncationError, FileNotFoundError, ValueError)
+
+
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed memory for reuse within the process.
+
+    By default it hands the free top of the heap back to the OS and maps
+    every array above a moving size threshold on its own, so a train step
+    or a sampler step that frees its arrays faults the same pages in again
+    at the next step, by an amount that depends on where unrelated
+    allocations left the heap's top. With no trimming and arrays up to
+    32 MiB on the heap, a working set is faulted in once. A C library
+    without ``mallopt`` is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+    mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
 
 
 def _write_text(path, text: str) -> None:
@@ -323,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "generate" and (args.scheduler is None) == (not args.fixed_sqrt):

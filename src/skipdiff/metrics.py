@@ -48,8 +48,12 @@ def _clipped_stats(hyp_counts, hyp_len: int, ref_counts) -> tuple[list[int], lis
     maps each of the hypothesis's n-grams to its reference count."""
     matches = [sum(min(count, ref.get(gram, 0)) for gram, count in hyp.items())
                for hyp, ref in zip(hyp_counts, ref_counts)]
-    totals = [max(hyp_len - n, 0) for n in range(MAX_ORDER)]
-    return matches, totals
+    return matches, _ngram_totals(hyp_len)
+
+
+def _ngram_totals(length: int) -> list[int]:
+    """A sentence's number of n-grams per order."""
+    return [max(length - n, 0) for n in range(MAX_ORDER)]
 
 
 def _closest_ref_length(hyp_len: int, refs) -> int:
@@ -76,6 +80,16 @@ def bleu_from_counts(hyp_counts, hyp_len: int, ref_counts, ref_len: int) -> floa
     reference n-gram counts and length it is scored against."""
     matches, totals = _clipped_stats(hyp_counts, hyp_len, ref_counts)
     return _bleu_from_stats(matches, totals, hyp_len, ref_len)
+
+
+def bleu_both_ways(a_counts, a_len: int, b_counts, b_len: int) -> tuple[float, float]:
+    """Sentence BLEU of nonempty ``a`` against ``b`` and of ``b`` against
+    ``a``, from their ``ngram_counts``: each as ``bleu_from_counts`` gives
+    it. The clipped matches, min(count in a, count in b) per n-gram, are
+    the same both ways, so they are counted once."""
+    matches, a_totals = _clipped_stats(a_counts, a_len, b_counts)
+    return (_bleu_from_stats(matches, a_totals, a_len, b_len),
+            _bleu_from_stats(matches, _ngram_totals(b_len), b_len, a_len))
 
 
 def bleu(hyp: list[str], refs: list[list[str]]) -> float:

@@ -32,18 +32,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 
 def multi_head_attention(x: Tensor, p: Mapping[str, Tensor], prefix: str,
-                         heads: int) -> Tensor:
+                         heads: int, start: int = 0) -> Tensor:
+    """Self-attention of the positions from ``start`` on over every position:
+    keys and values cover all of ``x``, queries and the output only
+    ``x[:, start:]``."""
     b_, l_, d = x.shape
     dh = d // heads
 
     def split(t: Tensor) -> Tensor:
-        return transpose(reshape(t, (b_, l_, heads, dh)), (0, 2, 1, 3))
+        return transpose(reshape(t, (b_, t.shape[1], heads, dh)), (0, 2, 1, 3))
 
-    q = split(linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
+    xq = x[:, start:] if start else x
+    q = split(linear(xq, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
     k = split(linear(x, p[f"{prefix}.wk"]))
     v = split(linear(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
     ctx = attention(q, k, v)
-    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b_, l_, d))
+    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b_, l_ - start, d))
     return linear(merged, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
@@ -53,10 +57,12 @@ def feed_forward(x: Tensor, p: Mapping[str, Tensor], prefix: str) -> Tensor:
 
 
 def transformer_block(x: Tensor, p: Mapping[str, Tensor], prefix: str,
-                      heads: int) -> Tensor:
-    h = x + multi_head_attention(
+                      heads: int, start: int = 0) -> Tensor:
+    """Pre-norm block; its output covers the positions from ``start`` on,
+    each computed as in the full block (attention reads every position)."""
+    h = (x[:, start:] if start else x) + multi_head_attention(
         layer_norm_op(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"]), p,
-        f"{prefix}.attn", heads)
+        f"{prefix}.attn", heads, start)
     return h + feed_forward(
         layer_norm_op(h, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"]), p,
         f"{prefix}.ffn")

@@ -69,35 +69,46 @@ class RngStream:
                 h = _mix_scalar(h ^ (b + 0x100))
         return RngStream(_mix_scalar(h ^ 0x5AFE5EED))
 
-    def _words(self, n: int, stream_const: np.uint64) -> np.ndarray:
-        idx = np.arange(self.position, self.position + n, dtype=np.uint64)
-        base = np.uint64(self.seed) + (idx + np.uint64(1)) * _GOLDEN
-        return _mix(base ^ stream_const)
+    def _counters(self, offsets: np.ndarray) -> np.ndarray:
+        """The counter words of the elements at ``position + offsets``."""
+        return np.uint64(self.seed) + (offsets + np.uint64(self.position + 1)) * _GOLDEN
 
     def uniform(self, shape=None) -> np.ndarray | float:
         """Uniform draws in [0, 1); consumes one position per element."""
         scalar = shape is None
         shp = () if scalar else tuple(int(s) for s in (shape if hasattr(shape, "__iter__") else (shape,)))
         n = int(np.prod(shp)) if shp else 1
-        words = self._words(n, _STREAM_A)
+        words = _mix(self._counters(np.arange(n, dtype=np.uint64)) ^ _STREAM_A)
         self.position += n
         out = (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
         return float(out[0]) if scalar else out.reshape(shp)
 
-    def normal(self, shape) -> np.ndarray:
-        """Standard normal draws via Box-Muller; one position per element."""
+    def normal(self, shape, where=None) -> np.ndarray:
+        """Standard normal draws via Box-Muller; one position per element.
+
+        With ``where``, a boolean mask that broadcasts to ``shape``, only the
+        selected elements are drawn, each from the position it has without
+        the mask, and every other element reads 0.0. The stream advances by
+        the full size either way.
+        """
         shp = tuple(int(s) for s in (shape if hasattr(shape, "__iter__") else (shape,)))
         n = int(np.prod(shp)) if shp else 1
-        if n == 0:
-            self.position += 0
-            return np.zeros(shp, dtype=np.float64)
-        w1 = self._words(n, _STREAM_A)
-        w2 = self._words(n, _STREAM_B)
+        if where is None:
+            offsets = np.arange(n, dtype=np.uint64)
+        else:
+            picked = np.flatnonzero(np.broadcast_to(where, shp))
+            offsets = picked.astype(np.uint64)
+        counters = self._counters(offsets)
         self.position += n
         # u1 in (0, 1] keeps log() finite; u2 in [0, 1).
-        u1 = ((w1 >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = (w2 >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        out = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        u1 = ((_mix(counters ^ _STREAM_A) >> np.uint64(11)).astype(np.float64) + 1.0) \
+            * _INV_2_53
+        u2 = (_mix(counters ^ _STREAM_B) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        draws = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        if where is None:
+            return draws.reshape(shp)
+        out = np.zeros(n)
+        out[picked] = draws
         return out.reshape(shp)
 
     def integers(self, low: int, high: int, shape=None) -> np.ndarray | int:

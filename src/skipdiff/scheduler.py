@@ -6,9 +6,10 @@ rolls out one step per diffusion step, feeding back the embedding of the
 previous instruction (a learned start symbol at step one) and squashing a
 scalar head through a sigmoid into the per-step True probability.
 
-Stochastic sampling records the instruction log-probabilities on a tape so
-the score-function gradient is one backward pass away; greedy decoding is
-deterministic and touches no random stream.
+A recorded rollout keeps the instruction log-probabilities on a tape so
+the score-function gradient is one backward pass away; an unrecorded one
+computes no log-probabilities at all. Greedy decoding is deterministic and
+touches no random stream.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .autodiff import (Tape, Tensor, backward, const, gather_rows, lift, neg,
-                       reshape, softplus, sum_, where_mask)
+from .autodiff import (Tape, Tensor, backward, const, gather_rows, lift,
+                       logistic, neg, reshape, softplus, sum_, where_mask)
 from .data import Vocab
 from .errors import ContractError, ParameterError, TruncationError, check_minimums
 from .rng import RngStream
@@ -82,7 +83,7 @@ class InstructionBatch:
 
     instructions: MetaInstructions   # [B, T] sampled bits
     probs: np.ndarray                # [B, T] per-step True probabilities
-    row_log_prob: Tensor             # [B] log-probability of each row's bits
+    row_log_prob: Tensor | None      # [B] log-probability of each row's bits; None when unrecorded
     tape: Tape | None                # recording tape; None when unrecorded
     leaves: dict[str, Tensor] | None  # the policy weights as leaves of ``tape``
 
@@ -139,8 +140,9 @@ def sample_instructions_batch(params, srcs: list[list[str]], vocab: Vocab,
     ``probs`` and ``row_log_prob`` agree only to float64 rounding, because
     BLAS may round a row of a 2-D product differently by the row's place
     in the batch.
-    ``record`` (default: only in stochastic mode) keeps the log-probability
-    graph alive for ``score_gradients()``.
+    ``record`` (default: only in stochastic mode) computes the rows'
+    log-probabilities and keeps their graph alive for
+    ``score_gradients()``; without it ``row_log_prob`` is None.
     """
     if mode not in ("stochastic", "greedy"):
         raise ParameterError(f"unknown sampling mode {mode!r}")
@@ -168,20 +170,21 @@ def sample_instructions_batch(params, srcs: list[list[str]], vocab: Vocab,
     x = gather_rows(_as_table(pt["start_emb"]), np.zeros(b, dtype=np.int64))
     bits_all = np.zeros((b, steps), dtype=bool)
     probs_all = np.zeros((b, steps), dtype=np.float64)
-    log_prob_rows = const(np.zeros(b))
+    log_prob_rows = const(np.zeros(b)) if record else None
     for t in range(steps):
         h, c = nn.lstm_step(x, h, c, pt["dec.wx"], pt["dec.wh"], pt["dec.b"], hidden)
         logit = (h @ pt["head.w"])[:, 0] + pt["head.b"]
-        p = _stable_sigmoid(logit.data)
+        p = logistic(logit.data)
         if mode == "stochastic":
             bits = uniforms[t] < p
         else:
             bits = p >= 0.5
         bits_all[:, t] = bits
         probs_all[:, t] = p
-        # log p(bit): -softplus(-x) when True, -softplus(x) when False
-        term = where_mask(bits, neg(softplus(neg(logit))), neg(softplus(logit)))
-        log_prob_rows = log_prob_rows + term
+        if record:
+            # log p(bit): -softplus(-x) when True, -softplus(x) when False
+            term = where_mask(bits, neg(softplus(neg(logit))), neg(softplus(logit)))
+            log_prob_rows = log_prob_rows + term
         x = gather_rows(pt["inst_emb"], bits.astype(np.int64))
     return InstructionBatch(instructions=MetaInstructions(bits_all),
                             probs=probs_all, row_log_prob=log_prob_rows,
@@ -193,11 +196,6 @@ def greedy_schedules(params, srcs: list[list[str]], vocab: Vocab,
     """The policy's greedy schedules for ``srcs``, one row per source."""
     batch = sample_instructions_batch(params, srcs, vocab, cfg, None, mode="greedy")
     return apply_skipping(batch.instructions, build_sqrt_schedule(cfg.decoder_len))
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _as_table(vector: Tensor) -> Tensor:

@@ -6,10 +6,10 @@ production path it checks.
 
 import numpy as np
 
-from skipdiff.autodiff import const
+from skipdiff.autodiff import const, lift
 from skipdiff.data import EOS, SEP, EncodedBatch, Vocab
 from skipdiff.metrics import MAX_ORDER, _bleu_from_stats
-from skipdiff.exploiter import ExploiterConfig, LatentState, _anchored
+from skipdiff.exploiter import ExploiterConfig, LatentState, _anchored, _predict
 from skipdiff.rng import RngStream
 from skipdiff.schedule import ScheduledNoise
 
@@ -44,6 +44,29 @@ def forward_diffuse_stepwise(state: LatentState, t: int, schedule: ScheduledNois
         beta = beta[:, None, None]
         x = np.sqrt(1.0 - beta) * x + np.sqrt(beta) * rng.normal(x.shape)
     return _anchored(const(x), state.condition_mask, state.anchor)
+
+
+def sample_step_full_width(params, state: LatentState, t: int,
+                           schedule: ScheduledNoise, rng: RngStream,
+                           cfg: ExploiterConfig, t_prev: int) -> LatentState:
+    """One reverse step computed at every position of the whole batch: noise
+    drawn everywhere, the denoiser's full prediction and the posterior
+    update on every column, then re-anchored."""
+    b = state.z.shape[0]
+    alpha = np.broadcast_to(schedule.alpha_bar_x, (b, cfg.steps + 1))
+    pointer = np.broadcast_to(schedule.pointer, (b, cfg.steps + 1))
+    z = state.z.data
+    z0_hat = _predict(lift(params, None), state.z, pointer[:, t], cfg, 0).data
+    a_hi = alpha[:, t][:, None, None]
+    a_lo = alpha[:, t_prev][:, None, None]
+    beta = 1.0 - a_hi / a_lo
+    mu = (np.sqrt(a_lo) * beta / (1.0 - a_hi)) * z0_hat \
+        + (np.sqrt(1.0 - beta) * (1.0 - a_lo) / (1.0 - a_hi)) * z
+    if t_prev >= 1:
+        var = beta * (1.0 - a_lo) / (1.0 - a_hi)
+        mu = mu + np.sqrt(var) * rng.normal(z.shape)
+    return _anchored(const(np.where(a_hi == a_lo, z, mu)), state.condition_mask,
+                     state.anchor)
 
 
 def recompute_log_prob(bits: np.ndarray, probs: np.ndarray) -> float:
@@ -83,12 +106,10 @@ def self_bleu_by_definition(hyps: list[list[str]]) -> float:
     return sum(scores) / len(scores)
 
 
-def mbr_select_by_definition(candidates: list[list[str]]) -> list[str]:
-    """The candidate whose BLEU against each other candidate, summed in
-    candidate order and averaged, is the largest; the first such wins. Two
-    empty sentences score 1 against each other, an empty and a nonempty 0."""
-    if len(candidates) == 1:
-        return candidates[0]
+def mbr_scores_by_definition(candidates: list[list[str]]) -> list[float]:
+    """Each candidate's BLEU against each other candidate, summed in
+    candidate order and averaged. Two empty sentences score 1 against each
+    other, an empty and a nonempty 0."""
     scores = []
     for i, cand in enumerate(candidates):
         vals = []
@@ -100,4 +121,12 @@ def mbr_select_by_definition(candidates: list[list[str]]) -> list[str]:
             else:
                 vals.append(1.0 if not cand and not other else 0.0)
         scores.append(sum(vals) / len(vals))
-    return candidates[int(np.argmax(scores))]
+    return scores
+
+
+def mbr_select_by_definition(candidates: list[list[str]]) -> list[str]:
+    """The candidate with the largest ``mbr_scores_by_definition``; the
+    first such wins."""
+    if len(candidates) == 1:
+        return candidates[0]
+    return candidates[int(np.argmax(mbr_scores_by_definition(candidates)))]

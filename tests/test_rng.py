@@ -125,3 +125,21 @@ def test_distinct_keys_give_distinct_streams(seed, keys):
     assert len({s.seed for s in streams}) == len(keys)
     draws = [s.uniform((4,)).tobytes() for s in streams]
     assert len(set(draws)) == len(keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 10**6),
+       shape=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+       per_element=st.booleans(), data=st.data())
+def test_masked_normal_is_the_full_draw_masked(seed, start, shape, per_element, data):
+    # the mask covers every element, or broadcasts along the last axis
+    mask_shape = shape if per_element else shape[:-1] + [1]
+    size = int(np.prod(mask_shape))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+                    dtype=bool).reshape(mask_shape)
+    masked_rng, full_rng = RngStream(seed, start), RngStream(seed, start)
+    masked = masked_rng.normal(shape, where=mask)
+    expected = np.where(mask, full_rng.normal(shape), 0.0)
+    assert masked.shape == tuple(shape) and masked.dtype == np.float64
+    assert masked.tobytes() == expected.tobytes()
+    assert masked_rng.position == full_rng.position == start + int(np.prod(shape))
