@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import math
 import os
@@ -37,16 +38,19 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
+@functools.cache
 def _keep_freed_memory() -> None:
-    """Have glibc's malloc keep freed memory for reuse within the process.
+    """Have glibc's malloc keep freed memory for reuse within the process,
+    once per process and for the rest of its life.
 
     By default it hands the free top of the heap back to the OS and maps
     every array above a moving size threshold on its own, so a train step
     or a sampler step that frees its arrays faults the same pages in again
     at the next step, by an amount that depends on where unrelated
     allocations left the heap's top. With no trimming and arrays up to
-    32 MiB on the heap, a working set is faulted in once. A C library
-    without ``mallopt`` is left as it is.
+    32 MiB on the heap, a working set is faulted in once. The setting is
+    process-wide, so it also holds for code a caller of ``main`` runs
+    afterwards. A C library without ``mallopt`` is left as it is.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

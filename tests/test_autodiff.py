@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from skipdiff import autodiff as ad
 from skipdiff.autodiff import Tape, Tensor, backward
@@ -193,29 +192,3 @@ def test_backward_walks_one_tape_twice_and_returns_leaves_only():
     assert set(first) == set(second) == {w.node_id, x.node_id}
     for node_id in first:
         assert np.array_equal(first[node_id], second[node_id])
-
-
-@settings(max_examples=200, deadline=None)
-@given(shape=st.lists(st.integers(1, 40), min_size=1, max_size=3), data=st.data(),
-       seed=st.integers(0, 2**32 - 1))
-def test_row_maximum_equals_numpys_reduction(shape, data, seed):
-    # sizes both below and above the fold's threshold; infinities, NaN and
-    # signed zeros included
-    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
-    pool = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan] + list(range(-9, 10)),
-                    dtype=np.float64)
-    x = np.random.default_rng(seed).choice(pool, size=shape)
-    got = ad._max_along(x, axis)
-    want = x.max(axis=axis, keepdims=True)
-    assert got.shape == want.shape
-    # equal values; a zero maximum may carry either sign, which softmax's
-    # shift cannot tell apart (x - 0.0 and x - -0.0 differ only for x = -0.0,
-    # and exp maps both zeros to 1)
-    assert np.array_equal(got, want, equal_nan=True)
-    with np.errstate(invalid="ignore"):     # inf - inf
-        assert np.exp(x - got).tobytes() == np.exp(x - want).tobytes()
-
-
-def test_row_maximum_folds_attention_scores_exactly():
-    scores = np.random.default_rng(0).standard_normal((32, 4, 11, 20))
-    assert np.array_equal(ad._max_along(scores, -1), scores.max(axis=-1, keepdims=True))

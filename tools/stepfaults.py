@@ -1,7 +1,7 @@
 """Minor page faults, time and peak memory of one skipdiff tree's train step
 and MBR generation.
 
-    python3 tools/stepfaults.py TREE [--steps N] [--session-steps M]
+    python3 tools/stepfaults.py TREE [--steps N]
 
 Each part runs in a fresh process with ``OPENBLAS_NUM_THREADS=1`` and
 ``PYTHONPATH`` set to the tree's ``src``, at the benchmark's config
@@ -17,10 +17,11 @@ drawn with ``random.Random(99)`` (256 pairs of 8 symbols):
 - one ``generate --fixed-sqrt --mbr 5 --steps 16`` over 128 held-out
   sources (``random.Random(1)``) with the checkpoint that run wrote.
 - a session as a benchmark round runs it: ``train --fixed-sqrt --max-steps
-  M`` with the held-out data (so its evaluations sample too), then three
-  such generates with the checkpoint it wrote, all in one process. Each
-  command's faults and seconds are reported, so a generate that pays for
-  the heap the train left shows against the cold one above.
+  400`` (``SESSION_STEPS``) with the held-out data (so its evaluations
+  sample too), then three such generates with the checkpoint it wrote, all
+  in one process. Each command's faults and seconds are reported, so a
+  generate that pays for the heap the train left shows against the cold
+  one above.
 
 Peak RSS is the process's ``ru_maxrss``, interpreter and imports included.
 """
@@ -43,6 +44,7 @@ VOCAB = [f"w{i:02d}" for i in range(16)]
 SETTINGS = ["--set", "model_dim=32", "--set", "T=64", "--set", "max_len=20",
             "--set", "ffn_mult=2", "--set", "lr_exploiter=0.002",
             "--set", "sched_hidden=16"]
+SESSION_STEPS = 400
 
 
 def write_corpus(path: Path, size: int, seed: int) -> None:
@@ -125,12 +127,12 @@ def child_generate(work: Path) -> dict:
             "peak_rss_mib": peak_rss_mib()}
 
 
-def child_session(work: Path, steps: int) -> dict:
+def child_session(work: Path) -> dict:
     from skipdiff.cli import main
     out = work / "session"
     commands = [["train", "--data", str(work / "train.jsonl"), "--val-data",
                  str(work / "heldout.jsonl"), "--out", str(out), "--seed", "11",
-                 "--fixed-sqrt", "--max-steps", str(steps), "--epochs", "1000000",
+                 "--fixed-sqrt", "--max-steps", str(SESSION_STEPS), "--epochs", "1000000",
                  *SETTINGS]]
     commands += [["generate", "--exploiter", str(out / "checkpoints/exploiter-final.bin"),
                   "--fixed-sqrt", "--src", str(work / "heldout.jsonl"),
@@ -157,8 +159,7 @@ def run_child(tree: Path, work: Path, part: str, steps: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def report(tree: Path, steps: int, train: dict, gen: dict, session_steps: int,
-           session: dict) -> str:
+def report(tree: Path, steps: int, train: dict, gen: dict, session: dict) -> str:
     lines = [f"tree {tree}: train --fixed-sqrt, {steps} steps, batch 32, "
              f"model_dim=32 T=64 max_len=20 ffn_mult=2, OPENBLAS_NUM_THREADS=1",
              "  minor faults per step (mean / median):"]
@@ -173,7 +174,7 @@ def report(tree: Path, steps: int, train: dict, gen: dict, session_steps: int,
               f"  minor faults: {gen['faults']}",
               f"  ms: {gen['ms']:.0f}",
               f"  peak RSS: {gen['peak_rss_mib']:.1f} MiB",
-              f"one process: train --fixed-sqrt, {session_steps} steps with "
+              f"one process: train --fixed-sqrt, {SESSION_STEPS} steps with "
               f"evaluations, then three such generates:"]
     for row in session["commands"]:
         lines.append(f"  {row['command']:<9} minor faults {row['faults']:8d}  "
@@ -186,7 +187,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree", type=Path)
     parser.add_argument("--steps", type=int, default=200)
-    parser.add_argument("--session-steps", type=int, default=400)
     parser.add_argument("--child", choices=("train", "generate", "session"),
                         help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
@@ -198,22 +198,22 @@ def main(argv=None) -> int:
         print(json.dumps(child_generate(args.work)))
         return 0
     if args.child == "session":
-        print(json.dumps(child_session(args.work, args.steps)))
+        print(json.dumps(child_session(args.work)))
         return 0
     tree = args.tree.resolve()
     if not (tree / "src" / "skipdiff" / "cli.py").is_file():
         print(f"{tree}: no src/skipdiff/cli.py", file=sys.stderr)
         return 2
-    if args.steps < 1 or args.session_steps < 1:
-        parser.error("--steps and --session-steps must be >= 1")
+    if args.steps < 1:
+        parser.error("--steps must be >= 1")
     with tempfile.TemporaryDirectory(prefix="skipdiff-stepfaults-") as tmp:
         work = Path(tmp)
         write_corpus(work / "train.jsonl", 256, 99)
         write_corpus(work / "heldout.jsonl", 128, 1)
         train = run_child(tree, work, "train", args.steps)
         gen = run_child(tree, work, "generate", args.steps)
-        session = run_child(tree, work, "session", args.session_steps)
-    print(report(tree, args.steps, train, gen, args.session_steps, session))
+        session = run_child(tree, work, "session", args.steps)
+    print(report(tree, args.steps, train, gen, session))
     return 0
 
 
