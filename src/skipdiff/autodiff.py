@@ -78,10 +78,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         tag = "leaf" if self.is_leaf else ("const" if self._tape is None else "node")
         return f"Tensor({tag}, shape={self.shape})"
@@ -416,11 +412,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g):
-        grad = g * out
-        inner = grad.sum(axis=axis, keepdims=True)
-        np.subtract(g, inner, out=grad)
-        grad *= out
-        return ((a, grad),)
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return ((a, (g - inner) * out),)
 
     return _make(out, (a,), bw)
 
@@ -522,13 +515,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     been passed to the node's inputs, and none is returned. The walk leaves
     the tape as it was, so the same tape can be walked again.
 
-    The leaf gradients are views into one buffer, allocated after the walk
-    while the graph is still alive, so glibc's malloc places it above the
-    graph. When the caller keeps the gradients and drops the graph, the
-    graph's memory is then a hole under live memory rather than free space
-    at the top of the heap, which malloc would hand back to the OS: the
-    next step of a training loop builds its graph in that hole instead of
-    faulting its pages in again.
+    A returned gradient may be a read-only view, or one array shared by two
+    leaves (``a + b`` hands both the same gradient): read it, never write
+    into it.
     """
     if loss.tape is not tape or loss.node_id < 0:
         raise ContractError("loss is not recorded on this tape")
@@ -550,13 +539,5 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
                 grads[pid] = grads[pid] + contribution
             else:
                 grads[pid] = contribution
-    leaves = [node for node in tape.nodes if node.is_leaf]
-    flat = np.zeros(sum(node.size for node in leaves))
-    out: dict[int, np.ndarray] = {}
-    offset = 0
-    for node in leaves:
-        out[node.node_id] = view = flat[offset:offset + node.size].reshape(node.shape)
-        if node.node_id in grads:
-            view[...] = grads[node.node_id]
-        offset += node.size
-    return out
+    return {node.node_id: grads[node.node_id] if node.node_id in grads
+            else np.zeros(node.shape) for node in tape.nodes if node.is_leaf}

@@ -65,6 +65,8 @@ def build_vocab(corpus: list[list[str]], min_freq: int = 1) -> Vocab:
     counts = Counter()
     for tokens in corpus:
         counts.update(tokens)
+    for token in RESERVED:    # a literal <unk> then encodes as UNK
+        counts.pop(token, None)
     kept = sorted((t for t, c in counts.items() if c >= min_freq),
                   key=lambda t: (-counts[t], t))
     if not kept:
@@ -130,9 +132,11 @@ def encode_batch(pairs: list[SentencePair], vocab: Vocab, max_len: int) -> Encod
     )
 
 
-# Fields that may hold no tokens: a model can generate nothing, but every
-# source and reference needs at least one token.
-_MAY_BE_EMPTY = frozenset({"gen"})
+# Fields a model wrote. They may hold no tokens, and a decoded separator
+# may appear in them; every source and reference needs at least one token
+# and may not spell a marker the encoder adds itself.
+_GENERATED = frozenset({"gen"})
+_MARKERS = frozenset({RESERVED[PAD], RESERVED[SEP], RESERVED[EOS]})
 
 
 def load_jsonl_fields(path, fields: tuple[str, ...],
@@ -140,8 +144,9 @@ def load_jsonl_fields(path, fields: tuple[str, ...],
     """Tokenized columns of the named string fields, in file order.
 
     Every named field is required on every non-blank line; only the
-    fields in ``_MAY_BE_EMPTY`` may tokenize to nothing. Errors name the
-    file and the 1-based line.
+    fields in ``_GENERATED`` may tokenize to nothing or hold the
+    ``<pad>``, ``<sep>`` and ``<eos>`` markers. Errors name the file and
+    the 1-based line.
     """
     columns: list[list[list[str]]] = [[] for _ in fields]
     with open(path, encoding="utf-8") as fh:
@@ -160,9 +165,14 @@ def load_jsonl_fields(path, fields: tuple[str, ...],
                 if not isinstance(obj[field], str):
                     raise JsonlParseError(path, lineno, f"field {field!r} must be a string")
                 tokens = tokenize(obj[field], mode)
-                if not tokens and field not in _MAY_BE_EMPTY:
-                    raise JsonlParseError(path, lineno,
-                                          f"field {field!r} is empty after tokenization")
+                if field not in _GENERATED:
+                    if not tokens:
+                        raise JsonlParseError(
+                            path, lineno, f"field {field!r} is empty after tokenization")
+                    marker = next((t for t in tokens if t in _MARKERS), None)
+                    if marker is not None:
+                        raise JsonlParseError(
+                            path, lineno, f"field {field!r} holds the reserved token {marker!r}")
                 column.append(tokens)
     return columns
 

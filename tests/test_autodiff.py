@@ -90,6 +90,16 @@ def test_backward_unreachable_leaf_gets_zero():
     assert np.array_equal(grads[unused.node_id], np.zeros(2))
 
 
+def test_backward_hands_one_gradient_to_both_leaves_of_a_sum():
+    tape = Tape()
+    a = tape.leaf([1.0, 2.0])
+    b = tape.leaf([3.0, 4.0])
+    grads = backward(tape, ad.sum_(a + b))
+    assert np.shares_memory(grads[a.node_id], grads[b.node_id])
+    assert np.array_equal(grads[a.node_id], np.ones(2))
+    assert np.array_equal(grads[b.node_id], np.ones(2))
+
+
 def test_mixed_tapes_rejected():
     t1, t2 = Tape(), Tape()
     with pytest.raises(ContractError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from skipdiff import cli, training
+from skipdiff.checkpoint import load_checkpoint
 from skipdiff.cli import main
 from tabledata import QQP_BLOCK, QQP_MEAN_RANK
 
@@ -109,6 +110,20 @@ def test_unknown_config_key_rejected(tmp_path, setting):
     assert not out.exists()
 
 
+def test_train_with_the_char_tokenizer_builds_a_character_vocabulary(tmp_path):
+    data = tmp_path / "train.jsonl"
+    data.write_text('{"src": "ab ca", "trg": "ab"}\n{"src": "bc", "trg": "cb"}\n')
+    out = tmp_path / "run"
+    small = ["tokenizer=char", "model_dim=16", "heads=2", "layers=1", "T=8",
+             "max_len=10", "total_batch=2", "exploration_epochs=2", "ffn_mult=2",
+             "sched_hidden=8", "epochs=0"]
+    argv = [arg for text in small for arg in ("--set", text)]
+    assert run_cli("train", "--data", str(data), "--out", str(out), *argv) == 0
+    for kind in ("exploiter", "scheduler"):
+        ckpt = load_checkpoint(out / "checkpoints" / f"{kind}-0.bin")
+        assert sorted(ckpt.vocab_tokens) == [" ", "a", "b", "c"]
+
+
 def test_train_has_no_mbr_flag(tmp_path):
     # the candidate count is generate's --mbr; evaluations inside train use eval_mbr
     out = tmp_path / "x"
@@ -202,6 +217,13 @@ def test_evaluate_misaligned_rejected(tmp_path, src_file):
     pytest.param(["export-schedule", "--scheduler", "{scheduler}", "--src", "{bad}",
                   "--out", "{tmp}/x.csv"],
                  ['{"src": "w00"}', '{"src": 5}'], 2, id="export-src-not-string"),
+    pytest.param(["train", "--data", "{bad}", "--out", "{tmp}/run"],
+                 ['{"src": "w00", "trg": "w00"}', '{"src": "w00 <sep> w01", "trg": "w01"}'],
+                 2, id="train-data-reserved-token"),
+    pytest.param(["generate", "--exploiter", "{exploiter}", "--scheduler", "{scheduler}",
+                  "--src", "{bad}", "--out", "{tmp}/x.jsonl"],
+                 ['{"src": "w00"}', '{"src": "w01 <sep> w02"}'], 2,
+                 id="generate-src-reserved-token"),
 ])
 def test_malformed_jsonl_names_file_and_line(tiny_run, src_file, tmp_path, capsys,
                                              argv, lines, bad_line):

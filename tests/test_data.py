@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,34 @@ def test_load_jsonl_fields_only_gen_may_be_empty(tmp_path):
     with pytest.raises(JsonlParseError) as err:
         load_jsonl_fields(path, ("src", "gen"))
     assert str(err.value).startswith(f"{path}:1: ") and "src" in str(err.value)
+
+
+@pytest.mark.parametrize("marker", ["<pad>", "<sep>", "<EOS>"])
+@pytest.mark.parametrize("field", ["src", "trg", "ref"])
+def test_load_jsonl_fields_rejects_reserved_markers_with_a_location(tmp_path, field, marker):
+    path = tmp_path / "c.jsonl"
+    row = {"src": "a b", "trg": "c", "ref": "c"}
+    lines = ['{"src": "a", "trg": "b", "ref": "b"}',
+             json.dumps({**row, field: f"a {marker} b"})]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(JsonlParseError) as err:
+        load_jsonl_fields(path, ("src", "trg", "ref"))
+    assert str(err.value).startswith(f"{path}:2: ")
+    assert repr(field) in str(err.value) and repr(marker.lower()) in str(err.value)
+
+
+def test_load_jsonl_fields_lets_gen_and_any_field_hold_unk(tmp_path):
+    # a generation may decode the separator; <unk> is an ordinary unknown token
+    path = tmp_path / "g.jsonl"
+    path.write_text('{"src": "a <unk>", "gen": "b <sep> <unk>"}\n')
+    assert load_jsonl_fields(path, ("src", "gen")) == [
+        [["a", "<unk>"]], [["b", "<sep>", "<unk>"]]]
+
+
+def test_build_vocab_leaves_out_reserved_tokens():
+    vocab = build_vocab([["a", "<unk>", "<unk>", "<sep>"], ["<pad>", "<eos>"]])
+    assert vocab.tokens == ["a"]
+    assert vocab.encode(["<unk>", "a"]) == [UNK, 4]
 
 
 def test_synthetic_copy():

@@ -10,10 +10,11 @@ from skipdiff.cli import main as cli_main
 from skipdiff.data import generate_synthetic, synthetic_vocab
 from skipdiff.errors import ConfigError, ContractError
 from skipdiff.exploiter import ExploiterConfig, init_exploiter_params, params_checksum
-from skipdiff.optim import AdaptiveSGD
+from skipdiff.optim import AdaptiveSGD, sgd_step
 from skipdiff.rng import RngStream
 from skipdiff.schedule import build_sqrt_schedule
-from skipdiff.scheduler import SchedulerConfig, init_scheduler_params
+from skipdiff.scheduler import (SchedulerConfig, add_grads, apply_update,
+                                init_scheduler_params)
 from skipdiff.training import (MetaRewardRecord, TrainConfig,
                                exploration_epoch, meta_train,
                                plug_and_play_generate, scheduler_round)
@@ -107,6 +108,51 @@ def test_scheduler_round_zero_rewards_keep_psi():
                               E_CFG, S_CFG, t_cfg(probe_lr=0.0))
     for name in psi:
         assert np.array_equal(psi2[name], psi[name])
+
+
+def test_scheduler_round_ascends_by_lr_scheduler_times_the_baselined_score_sum():
+    theta, psi = fresh_models()
+    batches = [pairs(4, seed=10), pairs(4, seed=20)]
+    cfg = t_cfg(probe_lr=0.05, lr_scheduler=0.375)
+    results = [exploration_epoch(theta, psi, batch, VOCAB, BASE, RngStream(e + 1),
+                                 E_CFG, S_CFG, cfg) for e, batch in enumerate(batches)]
+    rewards = [result.record.r_meta for result in results]
+    assert rewards[0] != rewards[1]
+    baseline = np.mean(rewards)
+    psi2, _ = scheduler_round(theta, psi, batches, VOCAB, BASE,
+                              [RngStream(1), RngStream(2)], E_CFG, S_CFG, cfg)
+    for name in psi:
+        ascent = sum((r - baseline) * result.score_grad[name]
+                     for r, result in zip(rewards, results))
+        assert np.array_equal(psi2[name], psi[name] + 0.375 * ascent)
+    assert any(not np.array_equal(psi2[name], psi[name]) for name in psi)
+
+
+def test_gradient_consumers_accept_read_only_gradients():
+    # backward may return read-only views, or one array for two leaves
+    params = {"w": np.arange(4.0).reshape(2, 2), "b": np.array([1.0, -1.0])}
+
+    def grads():
+        out = {"w": np.full((2, 2), 0.5), "b": np.array([2.0, -3.0])}
+        for g in out.values():
+            g.setflags(write=False)
+        return out
+
+    def writable():
+        return {name: g.copy() for name, g in grads().items()}
+
+    opt, ref = AdaptiveSGD(lr=0.1), AdaptiveSGD(lr=0.1)
+    for _ in range(2):
+        _same(opt.step(params, grads()), ref.step(params, writable()))
+    _same(sgd_step(params, grads(), 0.1), sgd_step(params, writable(), 0.1))
+    _same(apply_update(params, grads(), 0.1), apply_update(params, writable(), 0.1))
+    _same(add_grads(grads(), grads(), 2.0), add_grads(writable(), writable(), 2.0))
+
+
+def _same(a, b):
+    assert a.keys() == b.keys()
+    for name in a:
+        assert np.array_equal(a[name], b[name])
 
 
 def test_meta_train_zero_epochs_writes_init_checkpoints(tmp_path):
