@@ -150,7 +150,7 @@ def test_load_jsonl_fields_rejects_reserved_markers_with_a_location(tmp_path, fi
     assert repr(field) in str(err.value) and repr(marker.lower()) in str(err.value)
 
 
-def test_load_jsonl_fields_lets_gen_and_any_field_hold_unk(tmp_path):
+def test_load_jsonl_fields_lets_gen_hold_markers_and_any_field_unk(tmp_path):
     # a generation may decode the separator; <unk> is an ordinary unknown token
     path = tmp_path / "g.jsonl"
     path.write_text('{"src": "a <unk>", "gen": "b <sep> <unk>"}\n')
