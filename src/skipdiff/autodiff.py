@@ -2,8 +2,11 @@
 
 The primitive set is fixed and closed; every layer elsewhere in the package
 is composed from these primitives so a single finite-difference checker
-covers the whole model zoo. Values are immutable once published: no
-operation writes into its inputs.
+covers the whole model zoo. Three of them (``linear``, ``attention`` and
+``masked_mse``) fuse a composition into one node that keeps only what its
+backward reads, running the composition's numpy calls in its order so that
+no bit changes. Values are immutable once published: no operation writes
+into its inputs.
 
 A ``Tape`` owns its graph: it holds the recorded nodes in creation order,
 which is a topological order (inputs exist before outputs). A ``Tensor``
@@ -13,11 +16,14 @@ dropped; an operation on a tensor whose tape is gone raises
 ``ContractError`` rather than treating it as a constant. Each node's
 backward closure computes gradients for its recorded inputs only.
 ``backward`` walks the record in reverse and returns the leaves'
-gradients only. It does not consume the tape, which can be walked again.
+gradients only. It spends the tape: each walked node's closure is cleared
+and every node but the leaves leaves the record, so activations are freed
+while the gradients are built; a spent tape records and walks no more.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import Callable, Sequence
 
@@ -31,12 +37,15 @@ class Tape:
 
     Nodes refer back to the tape through ``_ref``, a weak reference, so the
     whole graph is freed when the last outside reference to the tape goes.
+    Once ``backward`` has walked it, the tape is ``spent`` and holds its
+    leaves only.
     """
 
-    __slots__ = ("nodes", "_ref", "__weakref__")
+    __slots__ = ("nodes", "spent", "_ref", "__weakref__")
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self.spent = False
         self._ref = weakref.ref(self)
 
     def leaf(self, data) -> "Tensor":
@@ -47,6 +56,8 @@ class Tape:
         return Tensor(arr, tape=self, is_leaf=True)
 
     def _register(self, tensor: "Tensor") -> int:
+        if self.spent:
+            raise ContractError("tape is spent: backward has walked it")
         self.nodes.append(tensor)
         return len(self.nodes) - 1
 
@@ -273,14 +284,18 @@ def pow_const(a: Tensor, exponent: float) -> Tensor:
     return _make(out, (a,), bw)
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    return np.tanh(0.7978845608028654 * (x + 0.044715 * (x * x * x)))
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Smooth gelu (tanh form), fused as one node for speed."""
+    """Smooth gelu (tanh form), fused as one node for speed. It keeps only
+    its input: backward recomputes the tanh."""
     x = a.data
-    inner = 0.7978845608028654 * (x + 0.044715 * (x * x * x))
-    th = np.tanh(inner)
-    out = 0.5 * x * (1.0 + th)
+    out = 0.5 * x * (1.0 + _gelu_tanh(x))
 
     def bw(g):
+        th = _gelu_tanh(x)
         # g * (0.5 * (1 + th) + 0.5 * x * sech2 * d_inner), each step in
         # the same order but in place, in two fresh buffers: 165 us against
         # 214 us for the plain form at [32, 20, 64] (one core, 2-core VM)
@@ -356,20 +371,38 @@ def softplus(a: Tensor) -> Tensor:
 
 # -- linear algebra -------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = np.matmul(a.data, b.data)
 
-    def bw(g):
-        # contiguous transposes; matmul on strided views is several times slower
-        return _flow(
-            (a, lambda: _unbroadcast(np.matmul(g, _transposed(b.data)), a.shape)),
+
+def _matmul_terms(a: Tensor, b: Tensor, g: np.ndarray) -> tuple:
+    # contiguous transposes; matmul on strided views is several times slower
+    return ((a, lambda: _unbroadcast(np.matmul(g, _transposed(b.data)), a.shape)),
             (b, lambda: _unbroadcast(np.matmul(_transposed(a.data), g), b.shape)))
 
-    return _make(out, (a, b), bw)
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    _check_matmul(a, b)
+    out = np.matmul(a.data, b.data)
+    return _make(out, (a, b), lambda g: _flow(*_matmul_terms(a, b, g)))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` as one node: the product, then the bias added into it.
+    Without ``b`` it is ``matmul``."""
+    if b is None:
+        return matmul(x, w)
+    _check_matmul(x, w)
+    out = np.matmul(x.data, w.data)
+    out += b.data
+
+    def bw(g):
+        return _flow(*_matmul_terms(x, w, g), (b, lambda: _unbroadcast(g, b.shape)))
+
+    return _make(out, (x, w, b), bw)
 
 
 def _transposed(x: np.ndarray) -> np.ndarray:
@@ -412,12 +445,68 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
+    return _make(out, (a,), lambda g: ((a, _softmax_grad(g, out, axis)),))
+
+
+def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    inner = (g * out).sum(axis=axis, keepdims=True)
+    return (g - inner) * out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of ``q`` [B, Lq, d] over
+    ``k`` and ``v`` [B, L, d], as one node that keeps only the softmax
+    weights: heads split from the last axis, softmax over the keys, the
+    context merged back to [B, Lq, d]."""
+    b_, lq, d = q.shape
+    l = k.shape[1]
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(x: np.ndarray, rows: int) -> np.ndarray:
+        return x.reshape(b_, rows, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x: np.ndarray, rows: int) -> np.ndarray:
+        return x.transpose(0, 2, 1, 3).reshape(b_, rows, d)
+
+    qh, kh, vh = split(q.data, lq), split(k.data, l), split(v.data, l)
+    kt = kh.transpose(0, 1, 3, 2)
+    weights = softmax(Tensor(np.matmul(qh, kt) * scale)).data
+    out = merge(np.matmul(weights, vh), lq)
 
     def bw(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return ((a, (g - inner) * out),)
+        # the composition's backward in its order: merge, context product,
+        # softmax, scale, score product, split; each product as matmul's
+        dctx = g.reshape(b_, lq, heads, dh).transpose(0, 2, 1, 3)
+        ds = _softmax_grad(np.matmul(dctx, _transposed(vh)), weights, -1) * scale
+        return _flow((q, lambda: merge(np.matmul(ds, _transposed(kt)), lq)),
+                     (k, lambda: merge(np.matmul(_transposed(qh), ds)
+                                       .transpose(0, 1, 3, 2), l)),
+                     (v, lambda: merge(np.matmul(_transposed(weights), dctx), l)))
 
-    return _make(out, (a,), bw)
+    return _make(out, (q, k, v), bw)
+
+
+def masked_mse(pred: Tensor, target: Tensor, weights: np.ndarray) -> Tensor:
+    """Mean squared error over coordinates selected by a 0/1 weight array,
+    as one node that keeps only ``pred - target``.
+
+    ``weights`` broadcasts against pred; normalization is by the number of
+    selected coordinates.
+    """
+    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), pred.shape)
+    diff = pred.data - target.data
+    scale = 1.0 / max(float(w.sum()), 1.0)
+    out = (diff * diff * w).sum() * scale
+
+    def bw(g):
+        grad = np.broadcast_to(g * scale, diff.shape) * w
+        grad *= diff
+        grad += grad        # diff * diff hands diff two equal contributions
+        return _flow((pred, lambda: _unbroadcast(grad, pred.shape)),
+                     (target, lambda: -_unbroadcast(grad, target.shape)))
+
+    return _make(out, (pred, target), bw)
 
 
 # -- structural primitives ------------------------------------------------
@@ -514,8 +603,13 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
 
     Returns a map leaf node_id -> gradient array; leaves the loss does not
     reach get zeros. An inner node's gradient is dropped as soon as it has
-    been passed to the node's inputs, and none is returned. The walk leaves
-    the tape as it was, so the same tape can be walked again.
+    been passed to the node's inputs, and none is returned.
+
+    The walk spends the tape: once a node is walked its closure is cleared
+    and, unless it is a leaf, it leaves ``tape.nodes``, so the activations
+    it held are freed while the gradients are built. Afterwards the tape
+    holds its leaves only; walking it again, or recording on it, raises
+    ``ContractError``.
 
     A returned gradient may be a read-only view, or one array shared by two
     leaves (``a + b`` hands both the same gradient): read it, never write
@@ -523,16 +617,26 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     """
     if loss.tape is not tape or loss.node_id < 0:
         raise ContractError("loss is not recorded on this tape")
+    if tape.spent:
+        raise ContractError("tape is spent: backward has walked it")
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
+    tape.spent = True
+    nodes = tape.nodes
+    later = [node for node in nodes[loss.node_id + 1:] if node.is_leaf]
+    del nodes[loss.node_id + 1:]
+    leaves = []
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for node in reversed(tape.nodes[: loss.node_id + 1]):
-        if node._backward is None:
+    while nodes:
+        node = nodes.pop()
+        if node.is_leaf:
+            leaves.append(node)
             continue
+        step, node._backward = node._backward, None
         g = grads.pop(node.node_id, None)
         if g is None:
             continue
-        for parent, contribution in node._backward(g):
+        for parent, contribution in step(g):
             pid = parent.node_id
             if pid < 0:
                 continue
@@ -541,5 +645,6 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
                 grads[pid] = grads[pid] + contribution
             else:
                 grads[pid] = contribution
+    tape.nodes = leaves[::-1] + later
     return {node.node_id: grads[node.node_id] if node.node_id in grads
-            else np.zeros(node.shape) for node in tape.nodes if node.is_leaf}
+            else np.zeros(node.shape) for node in tape.nodes}

@@ -17,8 +17,9 @@ import sys
 
 import numpy as np
 
-from .data import (SentencePair, Vocab, build_vocab, generate_synthetic,
-                   load_jsonl, load_jsonl_fields, save_jsonl, synthetic_vocab)
+from .data import (SentencePair, Vocab, build_vocab, detokenize,
+                   generate_synthetic, load_jsonl, load_jsonl_fields, save_jsonl,
+                   synthetic_vocab)
 from .errors import ConfigError, ContractError, JsonlParseError, ParameterError, \
     ShapeError, TruncationError
 from .metrics import (bleu, evaluate_corpus, mean_rank, rank_table_csv)
@@ -121,10 +122,11 @@ def _flag_overrides(args) -> dict:
 
 # -- generation -----------------------------------------------------------
 
-def _save_generations(path, srcs, picks, candidates) -> None:
-    """One ``src``/``gen``/``candidates`` row per source."""
-    save_jsonl(path, [{"src": " ".join(s), "gen": " ".join(g),
-                       "candidates": [" ".join(c) for c in cands]}
+def _save_generations(path, srcs, picks, candidates, mode: str) -> None:
+    """One ``src``/``gen``/``candidates`` row per source, written so that the
+    ``mode`` tokenizer reads each back as the same tokens."""
+    save_jsonl(path, [{"src": detokenize(s, mode), "gen": detokenize(g, mode),
+                       "candidates": [detokenize(c, mode) for c in cands]}
                       for s, g, cands in zip(srcs, picks, candidates)])
 
 
@@ -133,7 +135,7 @@ def cmd_generate(args) -> int:
     [(picks, candidates)] = plug_and_play_generate(
         args.scheduler, args.exploiter, srcs,
         [(args.scheduler is None, RngStream(args.seed))], args.mbr, args.steps)
-    _save_generations(args.out, srcs, picks, candidates)
+    _save_generations(args.out, srcs, picks, candidates, args.tokenizer)
     print(f"wrote {len(srcs)} generations to {args.out}")
     return 0
 
@@ -247,7 +249,7 @@ def cmd_plug_and_play(args) -> int:
     results = plug_and_play_generate(args.scheduler, args.exploiter, srcs, arms,
                                      args.mbr, args.steps)
     picks, candidates = results[0]
-    _save_generations(args.out, srcs, picks, candidates)
+    _save_generations(args.out, srcs, picks, candidates, args.tokenizer)
     report: dict = {"outputs": args.out, "sources": len(srcs)}
     if args.ref:
         [refs] = load_jsonl_fields(args.ref, ("trg",), args.tokenizer)

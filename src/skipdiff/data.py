@@ -56,6 +56,18 @@ def tokenize(text: str, mode: str = "whitespace") -> list[str]:
     raise ParameterError(f"unknown tokenizer mode {mode!r}")
 
 
+def detokenize(tokens: list[str], mode: str = "whitespace") -> str:
+    """Text that ``tokenize`` in ``mode`` reads back as ``tokens``, when
+    each whitespace token is lowercase without spaces, or each char token
+    one character; a decoded marker such as ``<sep>`` has no one-character
+    spelling and reads back in char mode as its five characters."""
+    if mode == "whitespace":
+        return " ".join(tokens)
+    if mode == "char":
+        return "".join(tokens)
+    raise ParameterError(f"unknown tokenizer mode {mode!r}")
+
+
 def build_vocab(corpus: list[list[str]], min_freq: int = 1) -> Vocab:
     """Frequency-then-lexicographic vocabulary over tokenized sentences."""
     if min_freq < 1:

@@ -12,23 +12,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .autodiff import (Tensor, const, exp, gelu, layer_norm_op, log, matmul,
-                       mul, reshape, select_last, sigmoid, softmax, sub, sum_,
-                       tanh, transpose)
+from .autodiff import (Tensor, attention, const, exp, gelu, layer_norm_op,
+                       linear, log, matmul, mul, select_last, sigmoid, sub, sum_,
+                       tanh)
 from .rng import RngStream
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = matmul(x, w)
-    return out if b is None else out + b
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention over the last two axes."""
-    nd = k.data.ndim
-    k_t = transpose(k, tuple(range(nd - 2)) + (nd - 1, nd - 2))
-    scores = matmul(q, k_t) * (1.0 / math.sqrt(q.shape[-1]))
-    return matmul(softmax(scores, axis=-1), v)
 
 
 def multi_head_attention(x: Tensor, p: Mapping[str, Tensor], prefix: str,
@@ -36,19 +23,11 @@ def multi_head_attention(x: Tensor, p: Mapping[str, Tensor], prefix: str,
     """Self-attention of the positions from ``start`` on over every position:
     keys and values cover all of ``x``, queries and the output only
     ``x[:, start:]``."""
-    b_, l_, d = x.shape
-    dh = d // heads
-
-    def split(t: Tensor) -> Tensor:
-        return transpose(reshape(t, (b_, t.shape[1], heads, dh)), (0, 2, 1, 3))
-
     xq = x[:, start:] if start else x
-    q = split(linear(xq, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
-    k = split(linear(x, p[f"{prefix}.wk"]))
-    v = split(linear(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
-    ctx = attention(q, k, v)
-    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b_, l_ - start, d))
-    return linear(merged, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+    q = linear(xq, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    k = linear(x, p[f"{prefix}.wk"])
+    v = linear(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+    return linear(attention(q, k, v, heads), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def feed_forward(x: Tensor, p: Mapping[str, Tensor], prefix: str) -> Tensor:
@@ -66,19 +45,6 @@ def transformer_block(x: Tensor, p: Mapping[str, Tensor], prefix: str,
     return h + feed_forward(
         layer_norm_op(h, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"]), p,
         f"{prefix}.ffn")
-
-
-def masked_mse(pred: Tensor, target: Tensor, weights: np.ndarray) -> Tensor:
-    """Mean squared error over coordinates selected by a 0/1 weight array.
-
-    ``weights`` broadcasts against pred; normalization is by the number of
-    selected coordinates.
-    """
-    w = const(np.broadcast_to(np.asarray(weights, dtype=np.float64), pred.shape))
-    diff = sub(pred, target)
-    total = sum_(mul(diff * diff, w))
-    count = float(w.data.sum())
-    return total * (1.0 / max(count, 1.0))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

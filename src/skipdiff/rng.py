@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .errors import ParameterError
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -53,20 +55,25 @@ class RngStream:
     def fork(self, *key) -> "RngStream":
         """Derive an independent child stream from the seed and a key.
 
-        The child depends only on (seed, key), never on the parent's
-        position, so fork points can move without perturbing the child.
-        Forking twice with the same key yields the same stream.
+        The key is one ``str`` tag followed by ints; any other key raises
+        ``ParameterError``. The key's bytes are hashed with no separator, so
+        ``fork("ab")`` and ``fork("a", "b")`` would otherwise name one
+        stream; a tag that ends in the 8 bytes of an int still names the
+        stream of the tag without them followed by that int, which the
+        program's word tags never do. The child depends only on (seed,
+        key), never on the parent's position, so fork points can move
+        without perturbing the child. Forking twice with the same key
+        yields the same stream.
         """
+        if not key or not isinstance(key[0], str) or not all(
+                isinstance(part, (int, np.integer)) and not isinstance(part, bool)
+                for part in key[1:]):
+            raise ParameterError(f"fork key must be one str followed by ints, got {key!r}")
+        tag, *ints = key
         h = self.seed
-        for part in key:
-            if isinstance(part, str):
-                data = part.encode("utf-8")
-            elif isinstance(part, (int, np.integer)):
-                data = int(part).to_bytes(8, "little", signed=True)
-            else:
-                raise TypeError(f"fork key parts must be str or int, got {type(part)!r}")
-            for b in data:
-                h = _mix_scalar(h ^ (b + 0x100))
+        for b in tag.encode("utf-8") + b"".join(
+                int(i).to_bytes(8, "little", signed=True) for i in ints):
+            h = _mix_scalar(h ^ (b + 0x100))
         return RngStream(_mix_scalar(h ^ 0x5AFE5EED))
 
     def _counters(self, offsets: np.ndarray) -> np.ndarray:

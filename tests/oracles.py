@@ -4,9 +4,12 @@ Each one recomputes a quantity the slow, obvious way, independently of the
 production path it checks.
 """
 
+import math
+
 import numpy as np
 
-from skipdiff.autodiff import const, lift
+from skipdiff.autodiff import (Tensor, const, lift, matmul, mul, reshape, softmax,
+                               sub, sum_, transpose)
 from skipdiff.data import EOS, SEP, EncodedBatch, Vocab
 from skipdiff.metrics import MAX_ORDER, _bleu_from_stats
 from skipdiff.exploiter import ExploiterConfig, LatentState, _anchored, _predict
@@ -23,6 +26,37 @@ def decode_row(batch: EncodedBatch, row: int, vocab: Vocab) -> tuple[list[str], 
     src = [vocab.token_of(i) for i in src_ids if i != SEP]
     tgt = [vocab.token_of(i) for i in tgt_ids if i != EOS]
     return src, tgt
+
+
+def linear_composed(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``autodiff.linear`` as the two nodes it fuses: matmul, then add."""
+    out = matmul(x, w)
+    return out if b is None else out + b
+
+
+def attention_composed(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """``autodiff.attention`` as the nodes it fuses: split heads, scaled
+    scores, softmax, context, merged heads."""
+    b_, lq, d = q.shape
+    dh = d // heads
+
+    def split(t: Tensor) -> Tensor:
+        return transpose(reshape(t, (b_, t.shape[1], heads, dh)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = matmul(qh, transpose(kh, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+    ctx = matmul(softmax(scores, axis=-1), vh)
+    return reshape(transpose(ctx, (0, 2, 1, 3)), (b_, lq, d))
+
+
+def masked_mse_composed(pred: Tensor, target: Tensor, weights: np.ndarray) -> Tensor:
+    """``autodiff.masked_mse`` as the nodes it fuses: difference, square,
+    weights, sum, normalization."""
+    w = const(np.broadcast_to(np.asarray(weights, dtype=np.float64), pred.shape))
+    diff = sub(pred, target)
+    total = sum_(mul(diff * diff, w))
+    count = float(w.data.sum())
+    return total * (1.0 / max(count, 1.0))
 
 
 def forward_diffuse_stepwise(state: LatentState, t: int, schedule: ScheduledNoise,

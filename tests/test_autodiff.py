@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import attention_composed, linear_composed, masked_mse_composed
 from skipdiff import autodiff as ad
 from skipdiff.autodiff import Tape, Tensor, backward
 from skipdiff.errors import ContractError, ShapeError
+from skipdiff.rng import RngStream
 
 
 def test_matmul_identity():
@@ -190,15 +193,104 @@ def test_op_on_a_tensor_whose_tape_is_gone_raises():
         x.tape
 
 
-def test_backward_walks_one_tape_twice_and_returns_leaves_only():
-    tape = Tape()
+def _spent_tape_loss(tape):
     w = tape.leaf(np.arange(6.0).reshape(3, 2) / 7.0)
     x = tape.leaf(np.linspace(-1.0, 1.0, 12).reshape(2, 2, 3))
     h = ad.gelu(ad.matmul(x, w))
     loss = ad.sum_(ad.softmax(h, axis=-1) * h) + ad.sum_(ad.layer_norm_op(
         x, Tensor(np.ones(3)), Tensor(np.zeros(3))) * x)
+    return w, x, loss
+
+
+def test_backward_spends_its_tape_and_returns_leaves_only():
+    tape, again = Tape(), Tape()
+    w, x, loss = _spent_tape_loss(tape)
     first = backward(tape, loss)
-    second = backward(tape, loss)
-    assert set(first) == set(second) == {w.node_id, x.node_id}
+    assert set(first) == {w.node_id, x.node_id}
+    assert tape.nodes == [w, x]
+    second = backward(again, _spent_tape_loss(again)[2])
     for node_id in first:
         assert np.array_equal(first[node_id], second[node_id])
+    with pytest.raises(ContractError, match="spent"):
+        backward(tape, loss)
+    with pytest.raises(ContractError, match="spent"):
+        x * 2.0
+
+
+# The fused nodes against the compositions they replace: the same output
+# and the same gradient for every input, bit for bit.
+
+def _bits_of(build, arrays, const_names=()):
+    """Output and leaf gradients of ``build`` over ``arrays``, with a
+    weighted sum as the loss so each node gets a non-trivial gradient."""
+    tape = Tape()
+    leaves = {name: Tensor(value) if name in const_names else tape.leaf(value)
+              for name, value in arrays.items()}
+    out = build(leaves)
+    probe = RngStream(5).normal(out.shape)
+    grads = backward(tape, ad.sum_(out * probe))
+    return out.data, {name: grads[leaf.node_id] for name, leaf in leaves.items()
+                      if leaf.node_id >= 0}
+
+
+def _assert_same_bits(fused, composed):
+    assert fused[0].shape == composed[0].shape
+    assert fused[0].tobytes() == composed[0].tobytes()
+    assert fused[1].keys() == composed[1].keys()
+    for name in fused[1]:
+        assert fused[1][name].shape == composed[1][name].shape
+        assert np.asarray(fused[1][name]).tobytes() == \
+            np.asarray(composed[1][name]).tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), lead=st.sampled_from([(), (1,), (3,), (2, 1)]),
+       rows=st.integers(1, 20), d_in=st.integers(1, 40), d_out=st.integers(1, 40),
+       bias=st.booleans())
+def test_linear_equals_matmul_then_add_bit_for_bit(seed, lead, rows, d_in, d_out, bias):
+    rng = RngStream(seed)
+    arrays = {"x": rng.normal(lead + (rows, d_in)), "w": rng.normal((d_in, d_out))}
+    if bias:
+        arrays["b"] = rng.normal((d_out,))
+    _assert_same_bits(_bits_of(lambda p: ad.linear(p["x"], p["w"], p.get("b")), arrays),
+                      _bits_of(lambda p: linear_composed(p["x"], p["w"], p.get("b")),
+                               arrays))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), batch=st.integers(1, 5), keys=st.integers(1, 24),
+       heads=st.sampled_from([1, 2, 4]), dh=st.integers(1, 12), data=st.data())
+def test_attention_equals_its_composition_bit_for_bit(seed, batch, keys, heads, dh,
+                                                      data):
+    start = data.draw(st.integers(0, keys - 1))
+    rng = RngStream(seed)
+    d = heads * dh
+    arrays = {"q": rng.normal((batch, keys - start, d)),
+              "k": rng.normal((batch, keys, d)), "v": rng.normal((batch, keys, d))}
+    _assert_same_bits(
+        _bits_of(lambda p: ad.attention(p["q"], p["k"], p["v"], heads), arrays),
+        _bits_of(lambda p: attention_composed(p["q"], p["k"], p["v"], heads), arrays))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), shape=st.sampled_from([(4,), (3, 5), (2, 7, 6)]),
+       target=st.sampled_from(["leaf", "const", "zero"]), per_element=st.booleans(),
+       data=st.data())
+def test_masked_mse_equals_its_composition_bit_for_bit(seed, shape, target,
+                                                       per_element, data):
+    rng = RngStream(seed)
+    mask_shape = shape if per_element else shape[:-1] + (1,)
+    size = int(np.prod(mask_shape))
+    weights = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+                       dtype=np.float64).reshape(mask_shape)
+    arrays = {"pred": rng.normal(shape)}
+    if target != "zero":
+        arrays["target"] = rng.normal(shape)
+    const_names = ("target",) if target == "const" else ()
+
+    def loss(mse):
+        # a scale above the node, as diffusion_loss's regularizer has
+        return lambda p: mse(p["pred"], p.get("target", ad.const(0.0)), weights) * 0.3
+
+    _assert_same_bits(_bits_of(loss(ad.masked_mse), arrays, const_names),
+                      _bits_of(loss(masked_mse_composed), arrays, const_names))

@@ -7,6 +7,7 @@ import pytest
 
 from skipdiff import cli, training
 from skipdiff.checkpoint import load_checkpoint
+from skipdiff.data import load_jsonl_fields
 from skipdiff.cli import main
 from tabledata import QQP_BLOCK, QQP_MEAN_RANK
 
@@ -122,6 +123,38 @@ def test_train_with_the_char_tokenizer_builds_a_character_vocabulary(tmp_path):
     for kind in ("exploiter", "scheduler"):
         ckpt = load_checkpoint(out / "checkpoints" / f"{kind}-0.bin")
         assert sorted(ckpt.vocab_tokens) == [" ", "a", "b", "c"]
+
+
+def test_char_generations_read_back_as_generated(tmp_path, monkeypatch):
+    # Spaces are tokens of their own. A decoded marker such as <sep> has no
+    # one-character spelling, so the model is trained until it writes none.
+    rows = [("ab ca", "ab"), ("bc", "cb"), ("ca b", "ba"), ("a c", "ca")]
+    data, src = tmp_path / "train.jsonl", tmp_path / "src.jsonl"
+    data.write_text("".join(json.dumps({"src": s, "trg": t}) + "\n" for s, t in rows))
+    src.write_text("".join(json.dumps({"src": s}) + "\n" for s, _ in rows))
+    small = ["tokenizer=char", "model_dim=16", "heads=2", "layers=1", "T=8",
+             "max_len=12", "total_batch=4", "ffn_mult=2", "sched_hidden=8",
+             "epochs=60"]
+    argv = [arg for text in small for arg in ("--set", text)]
+    assert run_cli("train", "--data", str(data), "--out", str(tmp_path / "run"),
+                   "--fixed-sqrt", *argv) == 0
+    generated = []
+    real = cli.plug_and_play_generate
+    monkeypatch.setattr(cli, "plug_and_play_generate",
+                        lambda *args: generated.extend(real(*args)) or generated)
+    out = tmp_path / "gen.jsonl"
+    assert run_cli("generate", "--exploiter",
+                   str(tmp_path / "run" / "checkpoints" / "exploiter-final.bin"),
+                   "--fixed-sqrt", "--src", str(src), "--out", str(out),
+                   "--tokenizer", "char", "--mbr", "2", "--steps", "4") == 0
+    [(picks, candidates)] = generated
+    tokens = [t for row in candidates for cand in row for t in cand]
+    assert " " in tokens and all(len(t) == 1 for t in tokens)
+    srcs, gens = load_jsonl_fields(out, ("src", "gen"), "char")
+    assert srcs == [list(s) for s, _ in rows]
+    assert gens == picks
+    written = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [[list(c) for c in row["candidates"]] for row in written] == candidates
 
 
 def test_train_has_no_mbr_flag(tmp_path):

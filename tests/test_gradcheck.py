@@ -32,9 +32,9 @@ def test_two_layer_network_mse():
     target = rng.normal((5, 3))
 
     def f(p):
-        h = ad.tanh(nn.linear(Tensor(x), p["w1"], p["b1"]))
-        out = nn.linear(h, p["w2"], p["b2"])
-        return nn.masked_mse(out, Tensor(target), np.ones_like(target))
+        h = ad.tanh(ad.linear(Tensor(x), p["w1"], p["b1"]))
+        out = ad.linear(h, p["w2"], p["b2"])
+        return ad.masked_mse(out, Tensor(target), np.ones_like(target))
 
     assert finite_diff_check(f, params) < 1e-4
 
@@ -88,8 +88,8 @@ PRIMITIVE_CASES = {
     "where": lambda p: ad.sum_(ad.where_mask(np.array([[True, False, True, False]] * 4), p["a"], p["b"]) * p["b"]),
     "layer_norm": lambda p: ad.sum_(ad.layer_norm_op(p["a"], p["gain"], p["bias"]) * p["b"]),
     "gelu": lambda p: ad.sum_(nn.gelu(p["a"])),
-    "attention": lambda p: ad.sum_(nn.attention(p["q"], p["k"], p["v"]) * p["q"]),
-    "mse": lambda p: nn.masked_mse(p["a"], p["b"], np.array([[1.0, 0.0, 1.0, 1.0]] * 4)),
+    "attention": lambda p: ad.sum_(ad.attention(p["q"], p["k"], p["v"], 2) * p["q"]),
+    "mse": lambda p: ad.masked_mse(p["a"], p["b"], np.array([[1.0, 0.0, 1.0, 1.0]] * 4)),
     "cross_entropy": lambda p: nn.masked_cross_entropy(
         p["a"], np.array([1, 0, 3, 2]), np.array([1.0, 1.0, 0.0, 1.0])),
     "lstm_step": lambda p: ad.sum_(
@@ -122,3 +122,52 @@ def test_primitive_gradients(name):
         "bg": 0.1 * _rand(rng, (12,)),
     }
     assert finite_diff_check(PRIMITIVE_CASES[name], params) < 1e-4
+
+
+# Each fused node on its own, in every form the program uses.
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "3d"])
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+def test_linear_gradients(lead, bias):
+    rng = RngStream(31)
+    params = {"x": _rand(rng, lead + (3, 4)), "w": _rand(rng, (4, 5))}
+    if bias:
+        params["b"] = _rand(rng, (5,))
+    probe = rng.normal(lead + (3, 5))
+
+    def f(p):
+        return ad.sum_(ad.linear(p["x"], p["w"], p.get("b")) * probe)
+
+    assert finite_diff_check(f, params) < 1e-4
+
+
+@pytest.mark.parametrize("heads,start", [(1, 0), (2, 0), (4, 0), (2, 3)])
+def test_attention_gradients(heads, start):
+    # start > 0: queries only for the positions from start on, as the
+    # sampler's last block runs
+    rng = RngStream(37 + heads + start)
+    params = {"x": _rand(rng, (2, 5, 8)), "wq": _rand(rng, (8, 8)),
+              "wk": _rand(rng, (8, 8)), "wv": _rand(rng, (8, 8))}
+    probe = rng.normal((2, 5 - start, 8))
+
+    def f(p):
+        q = ad.matmul(p["x"][:, start:] if start else p["x"], p["wq"])
+        k, v = ad.matmul(p["x"], p["wk"]), ad.matmul(p["x"], p["wv"])
+        return ad.sum_(ad.attention(q, k, v, heads) * probe)
+
+    assert finite_diff_check(f, params) < 1e-4
+
+
+@pytest.mark.parametrize("target", ["tensor", "zero"])
+def test_masked_mse_gradients(target):
+    rng = RngStream(41)
+    params = {"pred": _rand(rng, (2, 3, 4)), "target": _rand(rng, (2, 3, 4))}
+    weights = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])[..., None]
+
+    def f(p):
+        goal = p["target"] if target == "tensor" else ad.const(0.0)
+        return ad.masked_mse(p["pred"] * 1.5, goal, weights) * 0.7
+
+    if target == "zero":
+        del params["target"]
+    assert finite_diff_check(f, params) < 1e-4

@@ -124,12 +124,17 @@ def test_policy_gradient_zero_reward():
 def test_policy_gradient_linear_in_reward():
     # Four rows: weighting each by reward / 4 scales by powers of two only,
     # so the estimates are exact multiples of the score gradient.
+    # Backward spends a tape, so each estimator walks its own batch, drawn
+    # from the same stream.
     cfg, params = make()
-    batch = sample_instructions_batch(params, [["w00"]] * 4, VOCAB, cfg,
-                                      RngStream(2), "stochastic")
-    score = batch.score_gradients()
-    half = reinforce_gradients(batch, [0.5] * 4)
-    one = reinforce_gradients(batch, [1.0] * 4)
+
+    def batch():
+        return sample_instructions_batch(params, [["w00"]] * 4, VOCAB, cfg,
+                                         RngStream(2), "stochastic")
+
+    score = batch().score_gradients()
+    half = reinforce_gradients(batch(), [0.5] * 4)
+    one = reinforce_gradients(batch(), [1.0] * 4)
     for name in score:
         assert np.array_equal(one[name], score[name] / 4)
         assert np.array_equal(one[name], 2.0 * half[name])

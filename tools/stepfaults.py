@@ -14,6 +14,10 @@ drawn with ``random.Random(99)`` (256 pairs of 8 symbols):
   backward pass up to the return of ``diffusion_loss``, which includes
   releasing the step's graph) and optimizer (``AdaptiveSGD.step``); the
   rest of the loop counts as "between". Faults come from ``getrusage``.
+  After the loop, the inputs of train step ``GRAPH_STEP`` run through
+  ``diffusion_loss`` once more under ``tracemalloc``, which gives the live
+  graph when the forward pass ends (traced memory at the call to backward),
+  the step's traced peak and the number of nodes on its tape.
 - one ``generate --fixed-sqrt --mbr 5 --steps 16`` over 128 held-out
   sources (``random.Random(1)``) with the checkpoint that run wrote.
 - a session as a benchmark round runs it: ``train --fixed-sqrt --max-steps
@@ -38,6 +42,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 VOCAB = [f"w{i:02d}" for i in range(16)]
@@ -45,6 +50,7 @@ SETTINGS = ["--set", "model_dim=32", "--set", "T=64", "--set", "max_len=20",
             "--set", "ffn_mult=2", "--set", "lr_exploiter=0.002",
             "--set", "sched_hidden=16"]
 SESSION_STEPS = 400
+GRAPH_STEP = 1                 # 0-based; the last step when the run is shorter
 
 
 def write_corpus(path: Path, size: int, seed: int) -> None:
@@ -64,16 +70,47 @@ def peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def graph_figures(loss_args: list, exploiter) -> dict:
+    """Live graph after the forward pass, traced peak and tape nodes of one
+    ``diffusion_loss`` call, in MiB of memory traced from the call on."""
+    seen = {}
+    original = exploiter.backward
+
+    def at_backward(tape, loss):
+        seen["live"] = tracemalloc.get_traced_memory()[0]
+        seen["nodes"] = len(tape.nodes)
+        return original(tape, loss)
+
+    exploiter.backward = at_backward
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        exploiter.diffusion_loss(*loss_args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        exploiter.backward = original
+    return {"live_mib": (seen["live"] - base) / 2**20, "peak_mib": (peak - base) / 2**20,
+            "tape_nodes": seen["nodes"]}
+
+
 def child_train(work: Path, steps: int) -> dict:
-    """Run the train command with each step's three phases metered."""
+    """Run the train command with each step's three phases metered, then
+    replay one step's ``diffusion_loss`` for ``graph_figures``."""
     from skipdiff import exploiter, optim, training
     from skipdiff.cli import main
+    from skipdiff.rng import RngStream
 
     phases = {"forward": [], "backward": [], "optimizer": []}
     marks = {}                     # fault and clock readings of the open step
+    replay = []                    # the arguments of step GRAPH_STEP
 
     def loss_fn(original):
         def wrapper(*args, **kwargs):
+            if len(phases["forward"]) == min(GRAPH_STEP, steps - 1):
+                # the step advances its stream, so replay from a copy
+                replay.extend(RngStream(a.seed, a.position) if isinstance(a, RngStream)
+                              else a for a in args)
             marks.setdefault("first", (faults(), time.perf_counter()))
             marks["start"] = faults()
             out = original(*args, **kwargs)
@@ -110,7 +147,7 @@ def child_train(work: Path, steps: int) -> dict:
     between = total - sum(sum(values) for values in phases.values())
     return {"phases": phases, "between": between / steps, "total": total / steps,
             "ms": 1000.0 * (marks["last"][1] - marks["first"][1]) / steps,
-            "peak_rss_mib": peak_rss_mib()}
+            "peak_rss_mib": peak_rss_mib(), "graph": graph_figures(replay, exploiter)}
 
 
 def child_generate(work: Path) -> dict:
@@ -170,6 +207,10 @@ def report(tree: Path, steps: int, train: dict, gen: dict, session: dict) -> str
               f"    {'total':<10} {train['total']:8.1f}",
               f"  ms per step: {train['ms']:.2f}",
               f"  peak RSS: {train['peak_rss_mib']:.1f} MiB",
+              f"  step {min(GRAPH_STEP, steps - 1)} replayed under tracemalloc: "
+              f"live graph after forward {train['graph']['live_mib']:.2f} MiB, "
+              f"traced peak {train['graph']['peak_mib']:.2f} MiB, "
+              f"{train['graph']['tape_nodes']} tape nodes",
               "generate --fixed-sqrt --mbr 5 --steps 16, 128 sources:",
               f"  minor faults: {gen['faults']}",
               f"  ms: {gen['ms']:.0f}",
