@@ -88,7 +88,9 @@ class InstructionBatch:
     leaves: dict[str, Tensor] | None  # the policy weights as leaves of ``tape``
 
     def score_gradients(self) -> dict[str, np.ndarray]:
-        """Gradients of the summed log-probability w.r.t. the policy weights."""
+        """Gradients of the summed log-probability w.r.t. the policy weights.
+        The backward pass spends the batch's tape, so a second call raises
+        ``ContractError``."""
         if self.tape is None:
             raise ContractError("batch was sampled without tape recording")
         grads = backward(self.tape, sum_(self.row_log_prob))
