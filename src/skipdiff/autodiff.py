@@ -285,14 +285,25 @@ def pow_const(a: Tensor, exponent: float) -> Tensor:
 
 
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(0.7978845608028654 * (x + 0.044715 * (x * x * x)))
+    """tanh(0.7978845608028654 * (x + 0.044715 * (x * x * x))), each step in
+    that order but in place, in one fresh buffer."""
+    inner = x * x
+    inner *= x
+    inner *= 0.044715
+    inner += x
+    inner *= 0.7978845608028654
+    return np.tanh(inner, out=inner)
 
 
 def gelu(a: Tensor) -> Tensor:
     """Smooth gelu (tanh form), fused as one node for speed. It keeps only
     its input: backward recomputes the tanh."""
     x = a.data
-    out = 0.5 * x * (1.0 + _gelu_tanh(x))
+    # 0.5 * x * (1.0 + tanh), in place in two fresh buffers
+    out = x * 0.5
+    th = _gelu_tanh(x)
+    th += 1.0
+    out *= th
 
     def bw(g):
         th = _gelu_tanh(x)
@@ -321,10 +332,13 @@ def layer_norm_op(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
     """Normalization over the last axis with learnable gain and bias."""
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    out = xc * xc
+    var = out.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    # xhat and xhat * gain + bias, in place in the two fresh buffers
+    xhat = np.multiply(xc, inv, out=xc)
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def bw(g):
         # inv * (gy - mean(gy) - xhat * mean(gy * xhat)), in place in gy:
@@ -442,9 +456,10 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-shifted softmax along one axis; rows sum to one."""
     if a.data.size == 0 or a.data.shape[axis] == 0:
         raise ShapeError("softmax over an empty axis")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    # exp(a - max) / sum, in place in one fresh buffer
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
     return _make(out, (a,), lambda g: ((a, _softmax_grad(g, out, axis)),))
 
 
@@ -471,7 +486,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     qh, kh, vh = split(q.data, lq), split(k.data, l), split(v.data, l)
     kt = kh.transpose(0, 1, 3, 2)
-    weights = softmax(Tensor(np.matmul(qh, kt) * scale)).data
+    scores = np.matmul(qh, kt)
+    scores *= scale
+    weights = softmax(Tensor(scores)).data
+    del scores
     out = merge(np.matmul(weights, vh), lq)
 
     def bw(g):

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .data import (SentencePair, Vocab, build_vocab, detokenize,
+from .data import (SentencePair, Vocab, build_vocab, check_pairs_fit, detokenize,
                    generate_synthetic, load_jsonl, load_jsonl_fields, save_jsonl,
                    synthetic_vocab)
 from .errors import ConfigError, ContractError, JsonlParseError, ParameterError, \
@@ -78,18 +78,26 @@ def _emit(report: dict, out_path: str | None) -> None:
 # -- train ----------------------------------------------------------------
 
 def _build_corpus(cfg) -> tuple[list[SentencePair], list[SentencePair], Vocab]:
+    """The training and held-out pairs and the vocabulary; a pair too long
+    for ``max_len`` fails here, naming its file and place."""
     if cfg["data"]:
         train = load_jsonl(cfg["data"], cfg["tokenizer"])
         heldout = load_jsonl(cfg["val_data"], cfg["tokenizer"]) if cfg["val_data"] else []
         tokens = [list(p.src) + list(p.tgt) for p in train]
         vocab = build_vocab(tokens, cfg["min_freq"])
-        return train, heldout, vocab
-    rng = RngStream(cfg["seed"]).fork("corpus")
-    total = cfg["train_size"] + cfg["heldout_size"]
-    pairs = generate_synthetic(cfg["task"], total, cfg["vocab_size"],
-                               (cfg["len_min"], cfg["len_max"]), rng)
-    vocab = synthetic_vocab(cfg["vocab_size"])
-    return pairs[:cfg["train_size"]], pairs[cfg["train_size"]:], vocab
+        origins = (cfg["data"], cfg["val_data"])
+    else:
+        rng = RngStream(cfg["seed"]).fork("corpus")
+        total = cfg["train_size"] + cfg["heldout_size"]
+        pairs = generate_synthetic(cfg["task"], total, cfg["vocab_size"],
+                                   (cfg["len_min"], cfg["len_max"]), rng)
+        vocab = synthetic_vocab(cfg["vocab_size"])
+        train, heldout = pairs[:cfg["train_size"]], pairs[cfg["train_size"]:]
+        origins = (f"synthetic {cfg['task']} training set",
+                   f"synthetic {cfg['task']} held-out set")
+    check_pairs_fit(train, cfg["max_len"], origins[0])
+    check_pairs_fit(heldout, cfg["max_len"], origins[1], with_target=False)
+    return train, heldout, vocab
 
 
 def cmd_train(args) -> int:

@@ -135,6 +135,19 @@ def encode_pair(pair: SentencePair, vocab: Vocab, max_len: int) -> EncodedBatch:
     return EncodedBatch(ids[None, :], cond[None, :], pad[None, :])
 
 
+def check_pairs_fit(pairs: list[SentencePair], max_len: int, origin: str,
+                    with_target: bool = True) -> None:
+    """Raise ``TruncationError`` naming ``origin`` and the first pair (1-based)
+    that does not fit ``max_len``: a training pair needs its source, SEP,
+    target and EOS; a held-out pair (``with_target=False``) is only generated
+    from, so it needs its source, SEP and one position to generate."""
+    for i, pair in enumerate(pairs, start=1):
+        needed = len(pair.src) + 2 + (len(pair.tgt) if with_target else 0)
+        if needed > max_len:
+            raise TruncationError(f"{origin}: pair {i} needs {needed} positions "
+                                  f"but max_len is {max_len}")
+
+
 def encode_batch(pairs: list[SentencePair], vocab: Vocab, max_len: int) -> EncodedBatch:
     rows = [encode_pair(p, vocab, max_len) for p in pairs]
     return EncodedBatch(

@@ -68,6 +68,13 @@ class ScheduledNoise:
     beta_pointer: np.ndarray  # indexed 1..T (entry 0 unused)
     beta_eff: np.ndarray      # indexed 1..T (entry 0 unused)
 
+    def rows(self, rows: slice) -> "ScheduledNoise":
+        """The schedules of a run of rows; a shared schedule is its own."""
+        if self.pointer.ndim == 1:
+            return self
+        return ScheduledNoise(self.steps, self.pointer[rows], self.alpha_bar_x[rows],
+                              self.beta_pointer[rows], self.beta_eff[rows])
+
 
 def build_sqrt_schedule(steps: int, s: float = 1e-4) -> BaseSchedule:
     """alpha_bar_t = clamp(1 - sqrt(t/T + s)); beta_t = 1 - ratio of alpha_bars."""

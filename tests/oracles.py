@@ -10,9 +10,10 @@ import numpy as np
 
 from skipdiff.autodiff import (Tensor, const, lift, matmul, mul, reshape, softmax,
                                sub, sum_, transpose)
-from skipdiff.data import EOS, SEP, EncodedBatch, Vocab
+from skipdiff.data import EOS, PAD, SEP, EncodedBatch, Vocab
 from skipdiff.metrics import MAX_ORDER, _bleu_from_stats
-from skipdiff.exploiter import ExploiterConfig, LatentState, _anchored, _predict
+from skipdiff.exploiter import (ExploiterConfig, LatentState, _anchored, _predict,
+                                _step_levels, prepare_generation_batch)
 from skipdiff.rng import RngStream
 from skipdiff.schedule import ScheduledNoise
 
@@ -101,6 +102,39 @@ def sample_step_full_width(params, state: LatentState, t: int,
         mu = mu + np.sqrt(var) * rng.normal(z.shape)
     return _anchored(const(np.where(a_hi == a_lo, z, mu)), state.condition_mask,
                      state.anchor)
+
+
+def generate_batch_whole(params, srcs: list[list[str]], schedule: ScheduledNoise,
+                         rng: RngStream, cfg: ExploiterConfig, vocab: Vocab,
+                         num_steps: int | None = None
+                         ) -> tuple[list[list[str]], list[np.ndarray]]:
+    """Generation with the whole batch's state kept through every step: one
+    draw of pure noise over the batch, ``sample_step_full_width`` at each
+    level, then each canvas position rounded to its nearest embedding row
+    (the lowest id on a tie) up to the first EOS or PAD. Returns the
+    outputs and, per row, the rounded latents: the final canvas less the
+    position embeddings."""
+    batch = prepare_generation_batch(srcs, vocab, cfg)
+    b, l = batch.ids.shape
+    anchor = const(params["emb"][batch.ids] + params["pos"][0:l])
+    state = _anchored(const(rng.normal((b, l, cfg.model_dim))), batch.condition_mask,
+                      anchor)
+    levels = _step_levels(cfg.steps, num_steps)
+    for hi, lo in zip(levels[:-1], levels[1:]):
+        state = sample_step_full_width(params, state, hi, schedule, rng, cfg, lo)
+    emb = params["emb"]
+    outputs, latents = [], []
+    for i in range(b):
+        canvas = ~batch.condition_mask[i]
+        latents.append(state.z.data[i][canvas] - params["pos"][0:l][canvas])
+        tokens = []
+        for latent in latents[-1]:
+            idx = int(np.argmin(((latent - emb) ** 2).sum(axis=1)))
+            if idx in (EOS, PAD):
+                break
+            tokens.append(vocab.token_of(idx))
+        outputs.append(tokens)
+    return outputs, latents
 
 
 def recompute_log_prob(bits: np.ndarray, probs: np.ndarray) -> float:

@@ -125,6 +125,30 @@ def test_train_with_the_char_tokenizer_builds_a_character_vocabulary(tmp_path):
         assert sorted(ckpt.vocab_tokens) == [" ", "a", "b", "c"]
 
 
+@pytest.mark.parametrize("flag", ["--data", "--val-data"])
+def test_train_with_a_pair_too_long_exits_2_naming_it_before_writing(tmp_path, capsys,
+                                                                   flag):
+    fits = tmp_path / "fits.jsonl"
+    fits.write_text('{"src": "a b", "trg": "b a"}\n' * 3)
+    # under max_len 12 a 12-token source leaves no room: as a training pair
+    # it needs 16 positions, as a held-out pair 14
+    long = tmp_path / "long.jsonl"
+    long.write_text('{"src": "a b", "trg": "b a"}\n{"src": "%s", "trg": "a b"}\n'
+                    % " ".join(["a"] * 12))
+    out = tmp_path / "run"
+    files = {"--data": str(fits), "--val-data": str(fits), flag: str(long)}
+    small = ["model_dim=16", "heads=2", "layers=1", "T=8", "max_len=12",
+             "total_batch=2", "exploration_epochs=2", "ffn_mult=2",
+             "sched_hidden=8", "epochs=1", "gen_steps=4"]
+    argv = [arg for text in small for arg in ("--set", text)]
+    assert run_cli("train", *[a for item in files.items() for a in item],
+                   "--out", str(out), *argv) == 2
+    needed = 16 if flag == "--data" else 14
+    assert (f"{long}: pair 2 needs {needed} positions but max_len is 12"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_char_generations_read_back_as_generated(tmp_path, monkeypatch):
     # Spaces are tokens of their own. A decoded marker such as <sep> has no
     # one-character spelling, so the model is trained until it writes none.

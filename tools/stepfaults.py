@@ -19,7 +19,13 @@ drawn with ``random.Random(99)`` (256 pairs of 8 symbols):
   graph when the forward pass ends (traced memory at the call to backward),
   the step's traced peak and the number of nodes on its tape.
 - one ``generate --fixed-sqrt --mbr 5 --steps 16`` over 128 held-out
-  sources (``random.Random(1)``) with the checkpoint that run wrote.
+  sources (``random.Random(1)``) with the checkpoint that run wrote. The
+  same command then runs once more under ``tracemalloc``, which gives its
+  traced peak.
+- one ``generate --fixed-sqrt --mbr 1 --steps 16`` over ``LARGE_SOURCES``
+  sources (``random.Random(2)``) with that checkpoint, for its peak RSS,
+  its seconds and the SHA-256 of the file it wrote, which two trees that
+  generate the same bytes share.
 - a session as a benchmark round runs it: ``train --fixed-sqrt --max-steps
   400`` (``SESSION_STEPS``) with the held-out data (so its evaluations
   sample too), then three such generates with the checkpoint it wrote, all
@@ -33,6 +39,7 @@ Peak RSS is the process's ``ru_maxrss``, interpreter and imports included.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -50,6 +57,7 @@ SETTINGS = ["--set", "model_dim=32", "--set", "T=64", "--set", "max_len=20",
             "--set", "ffn_mult=2", "--set", "lr_exploiter=0.002",
             "--set", "sched_hidden=16"]
 SESSION_STEPS = 400
+LARGE_SOURCES = 2048
 GRAPH_STEP = 1                 # 0-based; the last step when the run is shorter
 
 
@@ -150,18 +158,40 @@ def child_train(work: Path, steps: int) -> dict:
             "peak_rss_mib": peak_rss_mib(), "graph": graph_figures(replay, exploiter)}
 
 
+def generate_argv(work: Path, src: str, out: str, mbr: int) -> list[str]:
+    return ["generate", "--exploiter", str(work / "run/checkpoints/exploiter-final.bin"),
+            "--fixed-sqrt", "--src", str(work / src), "--out", str(work / out),
+            "--mbr", str(mbr), "--steps", "16", "--seed", "7"]
+
+
 def child_generate(work: Path) -> dict:
     from skipdiff.cli import main
-    argv = ["generate", "--exploiter", str(work / "run/checkpoints/exploiter-final.bin"),
-            "--fixed-sqrt", "--src", str(work / "heldout.jsonl"),
-            "--out", str(work / "gen.jsonl"), "--mbr", "5", "--steps", "16",
-            "--seed", "7"]
+    argv = generate_argv(work, "heldout.jsonl", "gen.jsonl", 5)
     before, start = faults(), time.perf_counter()
     code = main(argv)
     if code != 0:
         raise SystemExit(f"generate exited {code}")
-    return {"faults": faults() - before, "ms": 1000.0 * (time.perf_counter() - start),
-            "peak_rss_mib": peak_rss_mib()}
+    result = {"faults": faults() - before, "ms": 1000.0 * (time.perf_counter() - start),
+              "peak_rss_mib": peak_rss_mib()}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if main(argv) != 0:
+            raise SystemExit("generate under tracemalloc failed")
+        result["traced_peak_mib"] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    return result
+
+
+def child_large(work: Path) -> dict:
+    from skipdiff.cli import main
+    start = time.perf_counter()
+    code = main(generate_argv(work, "large.jsonl", "gen-large.jsonl", 1))
+    if code != 0:
+        raise SystemExit(f"generate exited {code}")
+    return {"s": time.perf_counter() - start, "peak_rss_mib": peak_rss_mib(),
+            "sha256": hashlib.sha256((work / "gen-large.jsonl").read_bytes()).hexdigest()}
 
 
 def child_session(work: Path) -> dict:
@@ -196,7 +226,8 @@ def run_child(tree: Path, work: Path, part: str, steps: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def report(tree: Path, steps: int, train: dict, gen: dict, session: dict) -> str:
+def report(tree: Path, steps: int, train: dict, gen: dict, large: dict,
+           session: dict) -> str:
     lines = [f"tree {tree}: train --fixed-sqrt, {steps} steps, batch 32, "
              f"model_dim=32 T=64 max_len=20 ffn_mult=2, OPENBLAS_NUM_THREADS=1",
              "  minor faults per step (mean / median):"]
@@ -215,6 +246,12 @@ def report(tree: Path, steps: int, train: dict, gen: dict, session: dict) -> str
               f"  minor faults: {gen['faults']}",
               f"  ms: {gen['ms']:.0f}",
               f"  peak RSS: {gen['peak_rss_mib']:.1f} MiB",
+              f"  run again under tracemalloc: traced peak "
+              f"{gen['traced_peak_mib']:.2f} MiB",
+              f"generate --fixed-sqrt --mbr 1 --steps 16, {LARGE_SOURCES} sources:",
+              f"  s: {large['s']:.2f}",
+              f"  peak RSS: {large['peak_rss_mib']:.1f} MiB",
+              f"  output sha256: {large['sha256']}",
               f"one process: train --fixed-sqrt, {SESSION_STEPS} steps with "
               f"evaluations, then three such generates:"]
     for row in session["commands"]:
@@ -228,7 +265,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree", type=Path)
     parser.add_argument("--steps", type=int, default=200)
-    parser.add_argument("--child", choices=("train", "generate", "session"),
+    parser.add_argument("--child", choices=("train", "generate", "large", "session"),
                         help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -237,6 +274,9 @@ def main(argv=None) -> int:
         return 0
     if args.child == "generate":
         print(json.dumps(child_generate(args.work)))
+        return 0
+    if args.child == "large":
+        print(json.dumps(child_large(args.work)))
         return 0
     if args.child == "session":
         print(json.dumps(child_session(args.work)))
@@ -251,10 +291,12 @@ def main(argv=None) -> int:
         work = Path(tmp)
         write_corpus(work / "train.jsonl", 256, 99)
         write_corpus(work / "heldout.jsonl", 128, 1)
+        write_corpus(work / "large.jsonl", LARGE_SOURCES, 2)
         train = run_child(tree, work, "train", args.steps)
         gen = run_child(tree, work, "generate", args.steps)
+        large = run_child(tree, work, "large", args.steps)
         session = run_child(tree, work, "session", args.steps)
-    print(report(tree, args.steps, train, gen, session))
+    print(report(tree, args.steps, train, gen, large, session))
     return 0
 
 
