@@ -17,9 +17,9 @@ import sys
 
 import numpy as np
 
-from .data import (SentencePair, Vocab, build_vocab, check_pairs_fit, detokenize,
-                   generate_synthetic, load_jsonl, load_jsonl_fields, save_jsonl,
-                   synthetic_vocab)
+from .data import (SentencePair, Vocab, build_vocab, check_pairs_fit, check_sources_fit,
+                   detokenize, generate_synthetic, load_jsonl, load_jsonl_fields,
+                   save_jsonl, synthetic_vocab)
 from .errors import ConfigError, ContractError, JsonlParseError, ParameterError, \
     ShapeError, TruncationError
 from .metrics import (bleu, evaluate_corpus, mean_rank, rank_table_csv)
@@ -29,6 +29,7 @@ from .runconfig import (DEFAULTS, build_configs, format_resolved,
 from .schedule import schedule_to_csv
 from .scheduler import greedy_schedules
 from .training import load_model, meta_train, plug_and_play_generate
+from .workers import WorkerPool
 
 USER_ERRORS = (ConfigError, ContractError, JsonlParseError, ParameterError,
                ShapeError, TruncationError, FileNotFoundError, ValueError)
@@ -79,7 +80,8 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 def _build_corpus(cfg) -> tuple[list[SentencePair], list[SentencePair], Vocab]:
     """The training and held-out pairs and the vocabulary; a pair too long
-    for ``max_len`` fails here, naming its file and place."""
+    for ``max_len``, or in policy mode a source too long for
+    ``sched_max_len``, fails here, naming its file and place."""
     if cfg["data"]:
         train = load_jsonl(cfg["data"], cfg["tokenizer"])
         heldout = load_jsonl(cfg["val_data"], cfg["tokenizer"]) if cfg["val_data"] else []
@@ -97,6 +99,10 @@ def _build_corpus(cfg) -> tuple[list[SentencePair], list[SentencePair], Vocab]:
                    f"synthetic {cfg['task']} held-out set")
     check_pairs_fit(train, cfg["max_len"], origins[0])
     check_pairs_fit(heldout, cfg["max_len"], origins[1], with_target=False)
+    if not cfg["fixed_sqrt"]:
+        # the policy schedules every training and held-out source
+        for pairs, origin in zip((train, heldout), origins):
+            check_sources_fit(pairs, cfg["sched_max_len"], origin)
     return train, heldout, vocab
 
 
@@ -109,8 +115,9 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "config.resolved"), format_resolved(cfg))
     tag = cfg["dataset_tag"] or (cfg["data"] or f"synthetic-{cfg['task']}")
-    result = meta_train(train, heldout, vocab, args.out, e_cfg, s_cfg, t_cfg,
-                        dataset_tag=tag)
+    with WorkerPool() as pool:
+        result = meta_train(train, heldout, vocab, args.out, e_cfg, s_cfg, t_cfg,
+                            dataset_tag=tag, pool=pool)
     print(f"run complete: {result.run_dir}")
     print(f"exploiter checkpoint: {result.exploiter_ckpt}")
     print(f"scheduler checkpoint: {result.scheduler_ckpt}")
@@ -140,9 +147,10 @@ def _save_generations(path, srcs, picks, candidates, mode: str) -> None:
 
 def cmd_generate(args) -> int:
     [srcs] = load_jsonl_fields(args.src, ("src",), args.tokenizer)
-    [(picks, candidates)] = plug_and_play_generate(
-        args.scheduler, args.exploiter, srcs,
-        [(args.scheduler is None, RngStream(args.seed))], args.mbr, args.steps)
+    with WorkerPool() as pool:
+        [(picks, candidates)] = plug_and_play_generate(
+            args.scheduler, args.exploiter, srcs,
+            [(args.scheduler is None, RngStream(args.seed))], args.mbr, args.steps, pool)
     _save_generations(args.out, srcs, picks, candidates, args.tokenizer)
     print(f"wrote {len(srcs)} generations to {args.out}")
     return 0
@@ -254,8 +262,9 @@ def cmd_plug_and_play(args) -> int:
     arms = [(False, RngStream(args.seed))]
     if args.ref:
         arms.append((True, RngStream(args.seed)))
-    results = plug_and_play_generate(args.scheduler, args.exploiter, srcs, arms,
-                                     args.mbr, args.steps)
+    with WorkerPool() as pool:
+        results = plug_and_play_generate(args.scheduler, args.exploiter, srcs, arms,
+                                         args.mbr, args.steps, pool)
     picks, candidates = results[0]
     _save_generations(args.out, srcs, picks, candidates, args.tokenizer)
     report: dict = {"outputs": args.out, "sources": len(srcs)}

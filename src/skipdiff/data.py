@@ -148,6 +148,15 @@ def check_pairs_fit(pairs: list[SentencePair], max_len: int, origin: str,
                                   f"but max_len is {max_len}")
 
 
+def check_sources_fit(pairs: list[SentencePair], sched_max_len: int, origin: str) -> None:
+    """Raise ``TruncationError`` naming ``origin`` and the first pair (1-based)
+    whose source is longer than the noise policy's encoder reads."""
+    for i, pair in enumerate(pairs, start=1):
+        if len(pair.src) > sched_max_len:
+            raise TruncationError(f"{origin}: pair {i} has a source of {len(pair.src)} "
+                                  f"tokens but sched_max_len is {sched_max_len}")
+
+
 def encode_batch(pairs: list[SentencePair], vocab: Vocab, max_len: int) -> EncodedBatch:
     rows = [encode_pair(p, vocab, max_len) for p in pairs]
     return EncodedBatch(

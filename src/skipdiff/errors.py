@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each one survives a pickle round trip with its type, message and
+attributes, so an error raised in a worker process is raised again as
+itself in the parent.
+"""
 
 
 class ShapeError(ValueError):
@@ -15,6 +20,9 @@ class ParameterError(ValueError):
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+    def __reduce__(self):
+        return type(self), (str(self), self.field)
 
 
 def check_minimums(cfg, minimums: dict[str, int]) -> None:
@@ -33,8 +41,13 @@ class JsonlParseError(ValueError):
     """A JSONL line could not be parsed; carries the file and 1-based line."""
 
     def __init__(self, path, line_number: int, message: str):
+        self.path = path
         self.line_number = line_number
+        self.message = message
         super().__init__(f"{path}:{line_number}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.path, self.line_number, self.message)
 
 
 class OracleInvalidError(RuntimeError):

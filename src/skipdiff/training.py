@@ -33,6 +33,7 @@ from .schedule import (BaseSchedule, MetaInstructions, ScheduledNoise,
                        apply_skipping, build_sqrt_schedule, fixed_schedule)
 from .scheduler import SchedulerConfig, init_scheduler_params
 from .scheduler import param_shapes as scheduler_shapes
+from .workers import WorkerPool
 
 
 @dataclass(frozen=True)
@@ -170,14 +171,16 @@ def scheduler_round(theta: dict[str, np.ndarray], psi: dict[str, np.ndarray],
 
 def generate_with_mbr(theta, vocab: Vocab, e_cfg: ExploiterConfig,
                       srcs: list[list[str]], schedules: ScheduledNoise,
-                      rng: RngStream, mbr_size: int, gen_steps: int | None
+                      rng: RngStream, mbr_size: int, gen_steps: int | None,
+                      pool: WorkerPool | None = None
                       ) -> tuple[list[list[str]], list[list[list[str]]]]:
     """Per source: mbr_size candidates from distinct noise seeds, then the
-    consensus pick. Returns (selections, all candidates)."""
+    consensus pick. Returns (selections, all candidates). Generation shares
+    its rows among ``pool``'s workers (``generate_batch``)."""
     candidate_sets: list[list[list[str]]] = [[] for _ in srcs]
     for k in range(mbr_size):
         outs = generate_batch(theta, srcs, schedules, rng.fork("candidate", k),
-                              e_cfg, vocab, num_steps=gen_steps)
+                              e_cfg, vocab, num_steps=gen_steps, pool=pool)
         for i, out in enumerate(outs):
             candidate_sets[i].append(out)
     return [mbr_select(cands) for cands in candidate_sets], candidate_sets
@@ -215,8 +218,10 @@ def _save_pair(run_dir, tag, theta, psi, e_cfg, s_cfg, vocab, dataset_tag):
 def meta_train(train_pairs: list[SentencePair], heldout_pairs: list[SentencePair],
                vocab: Vocab, run_dir: str, e_cfg: ExploiterConfig,
                s_cfg: SchedulerConfig, t_cfg: TrainConfig,
-               dataset_tag: str = "") -> TrainResult:
-    """Alternate exploration rounds with denoiser epochs until the budget ends."""
+               dataset_tag: str = "", pool: WorkerPool | None = None) -> TrainResult:
+    """Alternate exploration rounds with denoiser epochs until the budget ends.
+    Evaluations share their generation's rows among ``pool``'s workers; the
+    exploration probes generate inline."""
     if not train_pairs:
         raise ConfigError("training set is empty")
     if s_cfg.decoder_len != e_cfg.steps:
@@ -245,7 +250,7 @@ def meta_train(train_pairs: list[SentencePair], heldout_pairs: list[SentencePair
                          else policy.greedy_schedules(psi_now, srcs, vocab, s_cfg))
             picks, _ = generate_with_mbr(theta_now, vocab, e_cfg, srcs, schedules,
                                          rng.fork("eval", epoch), t_cfg.eval_mbr,
-                                         t_cfg.gen_steps)
+                                         t_cfg.gen_steps, pool)
             return evaluate_corpus(picks, refs)
 
         _save_pair(run_dir, "0", theta, psi, e_cfg, s_cfg, vocab, dataset_tag)
@@ -383,7 +388,8 @@ def load_model(path, kind: str):
 
 def plug_and_play_generate(scheduler_ckpt, exploiter_ckpt, srcs: list[list[str]],
                            arms: list[tuple[bool, RngStream]], mbr_size: int = 1,
-                           gen_steps: int | None = None
+                           gen_steps: int | None = None,
+                           pool: WorkerPool | None = None
                            ) -> list[tuple[list[list[str]], list[list[list[str]]]]]:
     """Schedule with one checkpoint, generate with another, update nothing.
 
@@ -392,7 +398,8 @@ def plug_and_play_generate(scheduler_ckpt, exploiter_ckpt, srcs: list[list[str]]
     Each checkpoint is loaded once, and the scheduler's only when an arm
     uses the policy. The scheduler may come from a different dataset; its
     own vocabulary maps unseen tokens to UNK. Weights are checksummed
-    before and after to prove no fine-tuning happened.
+    before and after to prove no fine-tuning happened. Generation shares
+    its rows among ``pool``'s workers (``generate_batch``).
     """
     expl_ck, e_cfg = load_model(exploiter_ckpt, "exploiter")
     checked = [expl_ck.params]
@@ -410,7 +417,7 @@ def plug_and_play_generate(scheduler_ckpt, exploiter_ckpt, srcs: list[list[str]]
             sched_ck.params, srcs, Vocab(sched_ck.vocab_tokens), s_cfg)
     expl_vocab = Vocab(expl_ck.vocab_tokens)
     out = [generate_with_mbr(expl_ck.params, expl_vocab, e_cfg, srcs,
-                             schedules[fixed], rng, mbr_size, gen_steps)
+                             schedules[fixed], rng, mbr_size, gen_steps, pool)
            for fixed, rng in arms]
     if [params_checksum(params) for params in checked] != sums:
         raise ContractError("weights mutated during plug-and-play generation")

@@ -1,14 +1,19 @@
 import collections
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from skipdiff import cli, training
+from skipdiff import cli, exploiter, training
 from skipdiff.checkpoint import load_checkpoint
 from skipdiff.data import load_jsonl_fields
 from skipdiff.cli import main
+from skipdiff.errors import JsonlParseError
+from skipdiff.workers import WorkerPool
 from tabledata import QQP_BLOCK, QQP_MEAN_RANK
 
 
@@ -590,3 +595,125 @@ def test_freed_memory_is_kept_for_reuse():
     # glibc's default trims the freed 12.5 MiB off the heap's top each
     # time, and the next churn faults it in again: about 15 000 faults
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+@pytest.mark.parametrize("flag", ["--data", "--val-data"])
+def test_train_with_a_source_too_long_for_the_policy_exits_2_before_writing(
+        tmp_path, capsys, flag):
+    fits = tmp_path / "fits.jsonl"
+    fits.write_text('{"src": "a b", "trg": "b a"}\n' * 3)
+    long = tmp_path / "long.jsonl"
+    long.write_text('{"src": "a b", "trg": "b a"}\n{"src": "a b c", "trg": "c b a"}\n')
+    files = {"--data": str(fits), "--val-data": str(fits), flag: str(long)}
+    small = ["model_dim=16", "heads=2", "layers=1", "T=8", "max_len=12",
+             "total_batch=2", "exploration_epochs=2", "ffn_mult=2",
+             "sched_hidden=8", "epochs=1", "gen_steps=4", "sched_max_len=2"]
+    argv = [*[a for item in files.items() for a in item],
+            *[arg for text in small for arg in ("--set", text)]]
+    out = tmp_path / "run"
+    assert run_cli("train", *argv, "--out", str(out)) == 2
+    assert (f"{long}: pair 2 has a source of 3 tokens but sched_max_len is 2"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # the fixed-sqrt arm never runs the policy
+    assert run_cli("train", *argv, "--out", str(tmp_path / "fixed"), "--fixed-sqrt") == 0
+
+
+def _one_and_two_cpus(monkeypatch, run):
+    """``run()`` with this process's affinity read as one CPU, then as two;
+    one row a generation block, so generation has a block for each worker.
+    Returns both results and the worker counts each run's pool gave."""
+    monkeypatch.setattr(exploiter, "_BLOCK_BYTES", 1)
+    shared = []
+    workers_for = WorkerPool.workers_for
+
+    def spy(self, jobs):
+        shared.append(workers_for(self, jobs))
+        return shared[-1]
+
+    monkeypatch.setattr(WorkerPool, "workers_for", spy)
+    results, counts = [], []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        results.append(run())
+        assert multiprocessing.active_children() == []
+        counts.append(set(shared))
+        shared.clear()
+    return results, counts
+
+
+@pytest.mark.parametrize("command", ["train", "generate", "plug-and-play"])
+def test_commands_write_the_same_bytes_in_worker_processes(tiny_run, src_file,
+                                                           tmp_path, monkeypatch, command):
+    ckpt = os.path.join(tiny_run, "checkpoints")
+    argv = {"train": ["train", "--task", "copy", "--seed", "3", "--epochs", "2",
+                      "--T", "8", *[arg for text in [
+                          "model_dim=16", "heads=2", "layers=1", "max_len=10",
+                          "vocab_size=6", "len_min=1", "len_max=3", "train_size=16",
+                          "heldout_size=5", "total_batch=8", "exploration_epochs=2",
+                          "period=1", "gen_steps=4", "eval_every=1", "ffn_mult=2",
+                          "sched_hidden=8"] for arg in ("--set", text)]],
+            "generate": ["generate", "--exploiter", os.path.join(ckpt, "exploiter-final.bin"),
+                         "--scheduler", os.path.join(ckpt, "scheduler-final.bin"),
+                         "--src", src_file, "--mbr", "3", "--steps", "4"],
+            "plug-and-play": ["plug-and-play", "--exploiter",
+                              os.path.join(ckpt, "exploiter-final.bin"),
+                              "--scheduler", os.path.join(ckpt, "scheduler-final.bin"),
+                              "--src", src_file, "--ref", src_file, "--mbr", "2",
+                              "--steps", "4"]}[command]
+    runs = iter(["one", "two"])
+
+    def run():
+        work = tmp_path / next(runs)
+        work.mkdir()
+        assert run_cli(*argv, "--out", str(work / "out")) == 0
+        return {p.relative_to(work): p.read_bytes() for p in work.rglob("*") if p.is_file()}
+
+    (one, two), counts = _one_and_two_cpus(monkeypatch, run)
+    assert one and one == two
+    assert counts == [{1}, {2}]
+
+
+def test_an_error_in_a_worker_exits_2_as_it_does_inline(tiny_run, src_file, tmp_path,
+                                                        capsys, monkeypatch):
+    def failing(latents, embedding):
+        raise JsonlParseError("rows.jsonl", 3, "raised while rounding")
+
+    monkeypatch.setattr(exploiter, "round_to_tokens", failing)
+    ckpt = os.path.join(tiny_run, "checkpoints")
+    out = tmp_path / "gen.jsonl"
+
+    def run():
+        code = run_cli("generate", "--exploiter", os.path.join(ckpt, "exploiter-final.bin"),
+                       "--fixed-sqrt", "--src", src_file, "--out", str(out))
+        return code, capsys.readouterr().err
+
+    (one, two), counts = _one_and_two_cpus(monkeypatch, run)
+    assert one == two == (2, "error: rows.jsonl:3: raised while rounding\n")
+    assert counts == [{1}, {2}]
+    assert not out.exists()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_generate_writes_the_same_bytes_on_one_cpu_as_on_two(tiny_run, tmp_path):
+    # 120 sources are two generation blocks at the tiny run's config
+    src = tmp_path / "src.jsonl"
+    src.write_text("".join(json.dumps({"src": " ".join(f"w{(i + k) % 6:02d}"
+                                                       for k in range(1 + i % 3))}) + "\n"
+                           for i in range(120)))
+    ckpt = os.path.join(tiny_run, "checkpoints")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    first_two = sorted(os.sched_getaffinity(0))[:2]
+    written = []
+    for cpus in (first_two[:1], first_two):
+        out = tmp_path / f"gen-{len(cpus)}.jsonl"
+        subprocess.run([sys.executable, "-m", "skipdiff.cli", "generate",
+                        "--exploiter", os.path.join(ckpt, "exploiter-final.bin"),
+                        "--scheduler", os.path.join(ckpt, "scheduler-final.bin"),
+                        "--src", str(src), "--out", str(out), "--mbr", "2",
+                        "--steps", "4"],
+                       env=env, check=True, capture_output=True, timeout=120,
+                       preexec_fn=lambda cpus=cpus: os.sched_setaffinity(0, cpus))
+        written.append(out.read_bytes())
+    assert len(written[0].splitlines()) == 120
+    assert written[0] == written[1]

@@ -32,8 +32,16 @@ drawn with ``random.Random(99)`` (256 pairs of 8 symbols):
   in one process. Each command's faults and seconds are reported, so a
   generate that pays for the heap the train left shows against the cold
   one above.
+- the 128-source ``generate --fixed-sqrt --mbr 5 --steps 16`` once with the
+  process's affinity set to its first CPU, which runs generation inline,
+  and once on every CPU it may use, which shares the rows among worker
+  processes; each with its seconds and the SHA-256 of the file it wrote,
+  which must agree.
 
 Peak RSS is the process's ``ru_maxrss``, interpreter and imports included.
+The workers' peak is the largest ``ru_maxrss`` of the worker processes the
+part's commands forked (``RUSAGE_CHILDREN``, read once the commands have
+joined them): memory that generation moved out of the parent shows there.
 """
 
 from __future__ import annotations
@@ -76,6 +84,10 @@ def faults() -> int:
 
 def peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def workers_peak_rss_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 
 
 def graph_figures(loss_args: list, exploiter) -> dict:
@@ -155,7 +167,8 @@ def child_train(work: Path, steps: int) -> dict:
     between = total - sum(sum(values) for values in phases.values())
     return {"phases": phases, "between": between / steps, "total": total / steps,
             "ms": 1000.0 * (marks["last"][1] - marks["first"][1]) / steps,
-            "peak_rss_mib": peak_rss_mib(), "graph": graph_figures(replay, exploiter)}
+            "peak_rss_mib": peak_rss_mib(), "workers_peak_rss_mib": workers_peak_rss_mib(),
+            "graph": graph_figures(replay, exploiter)}
 
 
 def generate_argv(work: Path, src: str, out: str, mbr: int) -> list[str]:
@@ -172,7 +185,7 @@ def child_generate(work: Path) -> dict:
     if code != 0:
         raise SystemExit(f"generate exited {code}")
     result = {"faults": faults() - before, "ms": 1000.0 * (time.perf_counter() - start),
-              "peak_rss_mib": peak_rss_mib()}
+              "peak_rss_mib": peak_rss_mib(), "workers_peak_rss_mib": workers_peak_rss_mib()}
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -191,7 +204,20 @@ def child_large(work: Path) -> dict:
     if code != 0:
         raise SystemExit(f"generate exited {code}")
     return {"s": time.perf_counter() - start, "peak_rss_mib": peak_rss_mib(),
+            "workers_peak_rss_mib": workers_peak_rss_mib(),
             "sha256": hashlib.sha256((work / "gen-large.jsonl").read_bytes()).hexdigest()}
+
+
+def child_cpus(work: Path) -> dict:
+    from skipdiff.cli import main
+    cpus = len(os.sched_getaffinity(0))
+    out = f"gen-cpus{cpus}.jsonl"
+    start = time.perf_counter()
+    code = main(generate_argv(work, "heldout.jsonl", out, 5))
+    if code != 0:
+        raise SystemExit(f"generate exited {code}")
+    return {"cpus": cpus, "s": time.perf_counter() - start,
+            "sha256": hashlib.sha256((work / out).read_bytes()).hexdigest()}
 
 
 def child_session(work: Path) -> dict:
@@ -213,21 +239,25 @@ def child_session(work: Path) -> dict:
             raise SystemExit(f"{argv[0]} exited {code}")
         rows.append({"command": argv[0], "faults": faults() - before,
                      "s": time.perf_counter() - start})
-    return {"commands": rows, "peak_rss_mib": peak_rss_mib()}
+    return {"commands": rows, "peak_rss_mib": peak_rss_mib(),
+            "workers_peak_rss_mib": workers_peak_rss_mib()}
 
 
-def run_child(tree: Path, work: Path, part: str, steps: int) -> dict:
+def run_child(tree: Path, work: Path, part: str, steps: int,
+              cpus: set[int] | None = None) -> dict:
+    """One part in a fresh process, on the CPUs ``cpus`` if given."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, __file__, "--child", part, "--work",
                            str(work), "--steps", str(steps), str(tree)],
-                          env=env, capture_output=True, text=True)
+                          env=env, capture_output=True, text=True,
+                          preexec_fn=(lambda: os.sched_setaffinity(0, cpus)) if cpus else None)
     if proc.returncode != 0:
         raise SystemExit(f"{part} on {tree} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def report(tree: Path, steps: int, train: dict, gen: dict, large: dict,
-           session: dict) -> str:
+           session: dict, by_cpus: list[dict]) -> str:
     lines = [f"tree {tree}: train --fixed-sqrt, {steps} steps, batch 32, "
              f"model_dim=32 T=64 max_len=20 ffn_mult=2, OPENBLAS_NUM_THREADS=1",
              "  minor faults per step (mean / median):"]
@@ -238,6 +268,7 @@ def report(tree: Path, steps: int, train: dict, gen: dict, large: dict,
               f"    {'total':<10} {train['total']:8.1f}",
               f"  ms per step: {train['ms']:.2f}",
               f"  peak RSS: {train['peak_rss_mib']:.1f} MiB",
+              f"  workers' peak RSS: {train['workers_peak_rss_mib']:.1f} MiB",
               f"  step {min(GRAPH_STEP, steps - 1)} replayed under tracemalloc: "
               f"live graph after forward {train['graph']['live_mib']:.2f} MiB, "
               f"traced peak {train['graph']['peak_mib']:.2f} MiB, "
@@ -246,18 +277,26 @@ def report(tree: Path, steps: int, train: dict, gen: dict, large: dict,
               f"  minor faults: {gen['faults']}",
               f"  ms: {gen['ms']:.0f}",
               f"  peak RSS: {gen['peak_rss_mib']:.1f} MiB",
+              f"  workers' peak RSS: {gen['workers_peak_rss_mib']:.1f} MiB",
               f"  run again under tracemalloc: traced peak "
               f"{gen['traced_peak_mib']:.2f} MiB",
               f"generate --fixed-sqrt --mbr 1 --steps 16, {LARGE_SOURCES} sources:",
               f"  s: {large['s']:.2f}",
               f"  peak RSS: {large['peak_rss_mib']:.1f} MiB",
+              f"  workers' peak RSS: {large['workers_peak_rss_mib']:.1f} MiB",
               f"  output sha256: {large['sha256']}",
               f"one process: train --fixed-sqrt, {SESSION_STEPS} steps with "
               f"evaluations, then three such generates:"]
     for row in session["commands"]:
         lines.append(f"  {row['command']:<9} minor faults {row['faults']:8d}  "
                      f"s {row['s']:7.2f}")
-    lines.append(f"  peak RSS: {session['peak_rss_mib']:.1f} MiB")
+    lines += [f"  peak RSS: {session['peak_rss_mib']:.1f} MiB",
+              f"  workers' peak RSS: {session['workers_peak_rss_mib']:.1f} MiB",
+              "generate --fixed-sqrt --mbr 5 --steps 16, 128 sources, by CPU count:"]
+    for row in by_cpus:
+        lines.append(f"  {row['cpus']} CPU(s): s {row['s']:.2f}  output sha256 {row['sha256']}")
+    same = len({row["sha256"] for row in by_cpus}) == 1
+    lines.append(f"  same bytes: {'yes' if same else 'NO'}")
     return "\n".join(lines)
 
 
@@ -265,7 +304,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree", type=Path)
     parser.add_argument("--steps", type=int, default=200)
-    parser.add_argument("--child", choices=("train", "generate", "large", "session"),
+    parser.add_argument("--child", choices=("train", "generate", "large", "session", "cpus"),
                         help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -280,6 +319,9 @@ def main(argv=None) -> int:
         return 0
     if args.child == "session":
         print(json.dumps(child_session(args.work)))
+        return 0
+    if args.child == "cpus":
+        print(json.dumps(child_cpus(args.work)))
         return 0
     tree = args.tree.resolve()
     if not (tree / "src" / "skipdiff" / "cli.py").is_file():
@@ -296,7 +338,9 @@ def main(argv=None) -> int:
         gen = run_child(tree, work, "generate", args.steps)
         large = run_child(tree, work, "large", args.steps)
         session = run_child(tree, work, "session", args.steps)
-    print(report(tree, args.steps, train, gen, large, session))
+        by_cpus = [run_child(tree, work, "cpus", args.steps, {min(os.sched_getaffinity(0))}),
+                   run_child(tree, work, "cpus", args.steps)]
+    print(report(tree, args.steps, train, gen, large, session, by_cpus))
     return 0
 
 
