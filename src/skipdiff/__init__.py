@@ -6,7 +6,7 @@ noise and is scored to reward the policy.
 """
 
 from .data import (EncodedBatch, SentencePair, Vocab, build_vocab,
-                   encode_batch, encode_pair, generate_synthetic, load_jsonl,
+                   encode_batch, generate_synthetic, load_jsonl,
                    synthetic_vocab, tokenize)
 from .exploiter import (ExploiterConfig, diffusion_loss, generate_batch,
                         init_exploiter_params, mbr_select)

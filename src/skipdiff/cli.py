@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from .data import (SentencePair, Vocab, build_vocab, check_pairs_fit, check_sources_fit,
-                   detokenize, generate_synthetic, load_jsonl, load_jsonl_fields,
+from .data import (SentencePair, Vocab, build_vocab, check_sources_fit, detokenize,
+                   encode_batch, generate_synthetic, load_jsonl, load_jsonl_fields,
                    save_jsonl, synthetic_vocab)
 from .errors import ConfigError, ContractError, JsonlParseError, ParameterError, \
     ShapeError, TruncationError
@@ -97,12 +97,15 @@ def _build_corpus(cfg) -> tuple[list[SentencePair], list[SentencePair], Vocab]:
         train, heldout = pairs[:cfg["train_size"]], pairs[cfg["train_size"]:]
         origins = (f"synthetic {cfg['task']} training set",
                    f"synthetic {cfg['task']} held-out set")
-    check_pairs_fit(train, cfg["max_len"], origins[0])
-    check_pairs_fit(heldout, cfg["max_len"], origins[1], with_target=False)
+    # encoding checks the fit: training pairs whole, held-out ones as the
+    # sources they are generated from
+    heldout_srcs = [p.src for p in heldout]
+    encode_batch(train, vocab, cfg["max_len"], origins[0])
+    encode_batch(heldout_srcs, vocab, cfg["max_len"], origins[1])
     if not cfg["fixed_sqrt"]:
         # the policy schedules every training and held-out source
-        for pairs, origin in zip((train, heldout), origins):
-            check_sources_fit(pairs, cfg["sched_max_len"], origin)
+        for srcs, origin in zip(([p.src for p in train], heldout_srcs), origins):
+            check_sources_fit(srcs, cfg["sched_max_len"], origin)
     return train, heldout, vocab
 
 
@@ -150,7 +153,8 @@ def cmd_generate(args) -> int:
     with WorkerPool() as pool:
         [(picks, candidates)] = plug_and_play_generate(
             args.scheduler, args.exploiter, srcs,
-            [(args.scheduler is None, RngStream(args.seed))], args.mbr, args.steps, pool)
+            [(args.scheduler is None, RngStream(args.seed))], args.mbr, args.steps, pool,
+            args.src)
     _save_generations(args.out, srcs, picks, candidates, args.tokenizer)
     print(f"wrote {len(srcs)} generations to {args.out}")
     return 0
@@ -211,9 +215,14 @@ def cmd_evaluate(args) -> int:
 
 # -- difficulty analysis ----------------------------------------------------
 
-def _greedy_schedules(ckpt_path, srcs):
-    """The policy's greedy schedules for ``srcs``, one row per source."""
+def _greedy_schedules(ckpt_path, srcs, origin, rows=None):
+    """The policy's greedy schedules for ``srcs``, or for those at ``rows``,
+    one row per source. Any source in ``srcs`` too long for the policy
+    fails first, named by ``origin`` and its 1-based place."""
     ckpt, s_cfg = load_model(ckpt_path, "scheduler")
+    check_sources_fit(srcs, s_cfg.encoder_max_len, origin)
+    if rows is not None:
+        srcs = [srcs[i] for i in rows]
     return greedy_schedules(ckpt.params, srcs, Vocab(ckpt.vocab_tokens), s_cfg)
 
 
@@ -236,8 +245,8 @@ def cmd_analyze_difficulty(args) -> int:
     hardest = order[:args.k]
     easiest = order[::-1][:args.k]
     # one rollout: the first k rows are the hardest, the last k the easiest
-    sched = _greedy_schedules(args.scheduler,
-                              [srcs[i] for i in np.concatenate([hardest, easiest])])
+    sched = _greedy_schedules(args.scheduler, srcs, args.gen,
+                              np.concatenate([hardest, easiest]))
     beta = sched.beta_pointer[:, 1:]
     mean_hard = beta[:args.k].mean(axis=0)
     mean_easy = beta[args.k:].mean(axis=0)
@@ -264,7 +273,7 @@ def cmd_plug_and_play(args) -> int:
         arms.append((True, RngStream(args.seed)))
     with WorkerPool() as pool:
         results = plug_and_play_generate(args.scheduler, args.exploiter, srcs, arms,
-                                         args.mbr, args.steps, pool)
+                                         args.mbr, args.steps, pool, args.src)
     picks, candidates = results[0]
     _save_generations(args.out, srcs, picks, candidates, args.tokenizer)
     report: dict = {"outputs": args.out, "sources": len(srcs)}
@@ -282,7 +291,7 @@ def cmd_plug_and_play(args) -> int:
 
 def cmd_export_schedule(args) -> int:
     [srcs] = load_jsonl_fields(args.src, ("src",), args.tokenizer)
-    _write_text(args.out, schedule_to_csv(_greedy_schedules(args.scheduler, srcs)))
+    _write_text(args.out, schedule_to_csv(_greedy_schedules(args.scheduler, srcs, args.src)))
     print(f"wrote {len(srcs)} schedules (+mean) to {args.out}")
     return 0
 

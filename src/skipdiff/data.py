@@ -1,8 +1,10 @@
 """Tokenization, vocabulary, corpus loading, and batch encoding.
 
-Batch layout per row: [source ids..., SEP, target ids..., EOS, PAD...].
-The condition mask covers the source block through SEP inclusive, so the
-separator is never noised; the pad mask covers the trailing padding.
+One encoder, ``encode_batch``, builds every id matrix. A training row is
+[source ids..., SEP, target ids..., EOS, PAD...]; a generation row is
+[source ids..., SEP, PAD...], all after SEP an open canvas. The condition
+mask covers the source block through SEP inclusive, so the separator is
+never noised; the pad mask covers a training row's trailing padding.
 """
 
 from __future__ import annotations
@@ -119,51 +121,48 @@ class EncodedBatch:
         """
         return ~self.condition_mask
 
-
-def encode_pair(pair: SentencePair, vocab: Vocab, max_len: int) -> EncodedBatch:
-    needed = len(pair.src) + len(pair.tgt) + 2
-    if needed > max_len:
-        raise TruncationError(
-            f"pair needs {needed} positions but max_len is {max_len}")
-    ids = np.full(max_len, PAD, dtype=np.int64)
-    row = vocab.encode(list(pair.src)) + [SEP] + vocab.encode(list(pair.tgt)) + [EOS]
-    ids[:len(row)] = row
-    cond = np.zeros(max_len, dtype=bool)
-    cond[:len(pair.src) + 1] = True
-    pad = np.zeros(max_len, dtype=bool)
-    pad[len(row):] = True
-    return EncodedBatch(ids[None, :], cond[None, :], pad[None, :])
+    def rows(self, index) -> "EncodedBatch":
+        """The rows at ``index`` (a slice or an array of row numbers), in
+        that order."""
+        return EncodedBatch(self.ids[index], self.condition_mask[index],
+                            self.pad_mask[index])
 
 
-def check_pairs_fit(pairs: list[SentencePair], max_len: int, origin: str,
-                    with_target: bool = True) -> None:
-    """Raise ``TruncationError`` naming ``origin`` and the first pair (1-based)
-    that does not fit ``max_len``: a training pair needs its source, SEP,
-    target and EOS; a held-out pair (``with_target=False``) is only generated
-    from, so it needs its source, SEP and one position to generate."""
-    for i, pair in enumerate(pairs, start=1):
-        needed = len(pair.src) + 2 + (len(pair.tgt) if with_target else 0)
-        if needed > max_len:
-            raise TruncationError(f"{origin}: pair {i} needs {needed} positions "
-                                  f"but max_len is {max_len}")
-
-
-def check_sources_fit(pairs: list[SentencePair], sched_max_len: int, origin: str) -> None:
-    """Raise ``TruncationError`` naming ``origin`` and the first pair (1-based)
-    whose source is longer than the noise policy's encoder reads."""
-    for i, pair in enumerate(pairs, start=1):
-        if len(pair.src) > sched_max_len:
-            raise TruncationError(f"{origin}: pair {i} has a source of {len(pair.src)} "
+def check_sources_fit(srcs: list, sched_max_len: int, origin: str) -> None:
+    """Raise ``TruncationError`` naming ``origin`` and the first source
+    (1-based) longer than the noise policy's encoder reads."""
+    for i, src in enumerate(srcs, start=1):
+        if len(src) > sched_max_len:
+            raise TruncationError(f"{origin}: pair {i} has a source of {len(src)} "
                                   f"tokens but sched_max_len is {sched_max_len}")
 
 
-def encode_batch(pairs: list[SentencePair], vocab: Vocab, max_len: int) -> EncodedBatch:
-    rows = [encode_pair(p, vocab, max_len) for p in pairs]
-    return EncodedBatch(
-        np.concatenate([r.ids for r in rows], axis=0),
-        np.concatenate([r.condition_mask for r in rows], axis=0),
-        np.concatenate([r.pad_mask for r in rows], axis=0),
-    )
+def encode_batch(pairs: list, vocab: Vocab, max_len: int,
+                 origin: str | None = None) -> EncodedBatch:
+    """The id matrix and masks of ``pairs``, one row each, in order: a
+    ``SentencePair`` as a training row (source, SEP, target, EOS, padding),
+    a bare source as a generation row (source, SEP, an open canvas of PAD
+    ids). A training row must fit ``max_len`` whole, a generation row with
+    at least one canvas position; the first row that does not raises
+    ``TruncationError`` with its 1-based place, after ``origin`` if given."""
+    ids = np.full((len(pairs), max_len), PAD, dtype=np.int64)
+    cond = np.zeros((len(pairs), max_len), dtype=bool)
+    pad = np.zeros_like(cond)
+    for i, pair in enumerate(pairs):
+        training = isinstance(pair, SentencePair)
+        src = pair.src if training else pair
+        row = vocab.encode(src) + [SEP]
+        if training:
+            row += vocab.encode(pair.tgt) + [EOS]
+        needed = len(row) + (not training)
+        if needed > max_len:
+            where = f"{origin}: " if origin else ""
+            raise TruncationError(f"{where}pair {i + 1} needs {needed} positions "
+                                  f"but max_len is {max_len}")
+        ids[i, :len(row)] = row
+        cond[i, :len(src) + 1] = True
+        pad[i, len(row):] = training    # a generation row has no padding
+    return EncodedBatch(ids, cond, pad)
 
 
 # Fields a model wrote. They may hold no tokens, and a decoded separator

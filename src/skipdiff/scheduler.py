@@ -21,7 +21,7 @@ import numpy as np
 from . import nn
 from .autodiff import (Tape, Tensor, backward, const, gather_rows, lift,
                        logistic, neg, reshape, softplus, sum_, where_mask)
-from .data import Vocab
+from .data import Vocab, encode_batch
 from .errors import ContractError, ParameterError, TruncationError, check_minimums
 from .rng import RngStream
 from .schedule import (MetaInstructions, ScheduledNoise, apply_skipping,
@@ -101,13 +101,13 @@ def _ids_for(srcs: list[list[str]], vocab: Vocab, cfg: SchedulerConfig):
     lengths = np.array([len(s) for s in srcs], dtype=np.int64)
     if len(srcs) == 0 or np.any(lengths == 0):
         raise ContractError("cannot schedule noise for an empty source")
-    if lengths.max() > cfg.encoder_max_len:
+    longest = int(lengths.max())
+    if longest > cfg.encoder_max_len:
         raise TruncationError(
-            f"source length {int(lengths.max())} exceeds encoder max "
-            f"{cfg.encoder_max_len}")
-    ids = np.zeros((len(srcs), int(lengths.max())), dtype=np.int64)
-    for i, src in enumerate(srcs):
-        ids[i, :len(src)] = vocab.encode(list(src))
+            f"source length {longest} exceeds encoder max {cfg.encoder_max_len}")
+    # generation rows cut to the longest source: a shorter row's SEP and
+    # canvas ids never reach its state, which holds past its source
+    ids = encode_batch(srcs, vocab, longest + 2).ids[:, :longest]
     return ids, lengths
 
 

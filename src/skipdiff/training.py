@@ -21,7 +21,7 @@ import numpy as np
 
 from . import scheduler as policy
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import SentencePair, Vocab, encode_batch
+from .data import SentencePair, Vocab, check_sources_fit, encode_batch
 from .errors import ConfigError, ContractError, check_minimums
 from .exploiter import (ExploiterConfig, diffusion_loss, generate_batch,
                         init_exploiter_params, mbr_select, params_checksum)
@@ -227,6 +227,8 @@ def meta_train(train_pairs: list[SentencePair], heldout_pairs: list[SentencePair
     if s_cfg.decoder_len != e_cfg.steps:
         raise ConfigError(f"scheduler decoder length {s_cfg.decoder_len} != "
                           f"diffusion steps {e_cfg.steps}")
+    # every step's rows come from one encoding, which fails before any write
+    corpus = encode_batch(train_pairs, vocab, e_cfg.max_len, "train_pairs")
     os.makedirs(run_dir, exist_ok=True)
     rng = RngStream(t_cfg.seed)
     theta = init_exploiter_params(e_cfg, len(vocab), rng.fork("exploiter-init"))
@@ -300,22 +302,20 @@ def meta_train(train_pairs: list[SentencePair], heldout_pairs: list[SentencePair
             starts = list(range(0, n, t_cfg.total_batch))
             if t_cfg.max_steps:
                 starts = starts[:t_cfg.max_steps - steps_done]
-            chunks = [[train_pairs[int(i)]
-                       for i in order[start:start + t_cfg.total_batch]]
-                      for start in starts]
+            chunks = [order[start:start + t_cfg.total_batch] for start in starts]
             if not t_cfg.fixed_sqrt and chunks:
                 # psi is fixed for the epoch, so one rollout over every
                 # step's chunk, each from its own stream, gives the bits
                 # that per-step rollouts would
                 bits = policy.sample_instructions_batch(
-                    psi, [list(p.src) for chunk in chunks for p in chunk],
+                    psi, [list(train_pairs[i].src) for chunk in chunks for i in chunk],
                     vocab, s_cfg,
                     [(len(chunk), rng.fork("train-sched", epoch, start))
                      for chunk, start in zip(chunks, starts)],
                     "stochastic", False).instructions.bits
             losses = []
             for start, chunk in zip(starts, chunks):
-                encoded = encode_batch(chunk, vocab, e_cfg.max_len)
+                encoded = corpus.rows(chunk)
                 if t_cfg.fixed_sqrt:
                     schedules = flat
                 else:
@@ -389,7 +389,7 @@ def load_model(path, kind: str):
 def plug_and_play_generate(scheduler_ckpt, exploiter_ckpt, srcs: list[list[str]],
                            arms: list[tuple[bool, RngStream]], mbr_size: int = 1,
                            gen_steps: int | None = None,
-                           pool: WorkerPool | None = None
+                           pool: WorkerPool | None = None, origin: str = "srcs"
                            ) -> list[tuple[list[list[str]], list[list[list[str]]]]]:
     """Schedule with one checkpoint, generate with another, update nothing.
 
@@ -399,9 +399,13 @@ def plug_and_play_generate(scheduler_ckpt, exploiter_ckpt, srcs: list[list[str]]
     uses the policy. The scheduler may come from a different dataset; its
     own vocabulary maps unseen tokens to UNK. Weights are checksummed
     before and after to prove no fine-tuning happened. Generation shares
-    its rows among ``pool``'s workers (``generate_batch``).
+    its rows among ``pool``'s workers (``generate_batch``). A source too
+    long for either checkpoint fails before any generation, named by
+    ``origin`` and its 1-based place.
     """
     expl_ck, e_cfg = load_model(exploiter_ckpt, "exploiter")
+    expl_vocab = Vocab(expl_ck.vocab_tokens)
+    encode_batch(srcs, expl_vocab, e_cfg.max_len, origin)
     checked = [expl_ck.params]
     sums = [params_checksum(expl_ck.params)]
     schedules = {True: fixed_schedule(build_sqrt_schedule(e_cfg.steps))}
@@ -411,11 +415,11 @@ def plug_and_play_generate(scheduler_ckpt, exploiter_ckpt, srcs: list[list[str]]
             raise ConfigError(
                 f"scheduler decoder length {s_cfg.decoder_len} incompatible "
                 f"with exploiter diffusion steps {e_cfg.steps}")
+        check_sources_fit(srcs, s_cfg.encoder_max_len, origin)
         checked.append(sched_ck.params)
         sums.append(params_checksum(sched_ck.params))
         schedules[False] = policy.greedy_schedules(
             sched_ck.params, srcs, Vocab(sched_ck.vocab_tokens), s_cfg)
-    expl_vocab = Vocab(expl_ck.vocab_tokens)
     out = [generate_with_mbr(expl_ck.params, expl_vocab, e_cfg, srcs,
                              schedules[fixed], rng, mbr_size, gen_steps, pool)
            for fixed, rng in arms]

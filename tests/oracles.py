@@ -10,10 +10,10 @@ import numpy as np
 
 from skipdiff.autodiff import (Tensor, const, lift, matmul, mul, reshape, softmax,
                                sub, sum_, transpose)
-from skipdiff.data import EOS, PAD, SEP, EncodedBatch, Vocab
+from skipdiff.data import EOS, PAD, SEP, EncodedBatch, Vocab, encode_batch
 from skipdiff.metrics import MAX_ORDER, _bleu_from_stats
 from skipdiff.exploiter import (ExploiterConfig, LatentState, _anchored, _predict,
-                                _step_levels, prepare_generation_batch)
+                                _step_levels)
 from skipdiff.rng import RngStream
 from skipdiff.schedule import ScheduledNoise
 
@@ -114,7 +114,7 @@ def generate_batch_whole(params, srcs: list[list[str]], schedule: ScheduledNoise
     (the lowest id on a tie) up to the first EOS or PAD. Returns the
     outputs and, per row, the rounded latents: the final canvas less the
     position embeddings."""
-    batch = prepare_generation_batch(srcs, vocab, cfg)
+    batch = encode_batch(srcs, vocab, cfg.max_len)
     b, l = batch.ids.shape
     anchor = const(params["emb"][batch.ids] + params["pos"][0:l])
     state = _anchored(const(rng.normal((b, l, cfg.model_dim))), batch.condition_mask,

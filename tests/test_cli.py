@@ -505,9 +505,9 @@ def test_analyze_difficulty_ties_fill_disjoint_buckets(tiny_run, tmp_path,
     rolled = []
     real = cli._greedy_schedules
 
-    def recording(path, rows):
-        rolled.extend(srcs.index(" ".join(row)) for row in rows)
-        return real(path, rows)
+    def recording(path, all_srcs, origin, rows):
+        rolled.extend(int(i) for i in rows)
+        return real(path, all_srcs, origin, rows)
 
     monkeypatch.setattr(cli, "_greedy_schedules", recording)
     code = run_cli("analyze-difficulty", "--gen", str(gen),
@@ -617,6 +617,40 @@ def test_train_with_a_source_too_long_for_the_policy_exits_2_before_writing(
     assert not out.exists()
     # the fixed-sqrt arm never runs the policy
     assert run_cli("train", *argv, "--out", str(tmp_path / "fixed"), "--fixed-sqrt") == 0
+
+
+@pytest.mark.parametrize("command, limit", [
+    ("generate", "max_len"), ("generate", "sched_max_len"),
+    ("plug-and-play", "max_len"), ("plug-and-play", "sched_max_len"),
+    ("export-schedule", "sched_max_len"), ("analyze-difficulty", "sched_max_len")])
+def test_a_source_too_long_for_a_checkpoint_exits_2_naming_it_before_writing(
+        tiny_run, tmp_path, capsys, command, limit):
+    ckpt = os.path.join(tiny_run, "checkpoints")
+    expl = os.path.join(ckpt, "exploiter-final.bin")
+    sched = os.path.join(ckpt, "scheduler-final.bin")
+    if limit == "max_len":
+        # under the tiny run's max_len 10 a 9-token source leaves no canvas
+        src, message = ["w01"] * 9, "needs 11 positions but max_len is 10"
+    else:
+        src, message = ["w01"] * 3, "has a source of 3 tokens but sched_max_len is 2"
+        rewrite_header(sched, tmp_path / "narrow.bin",
+                       lambda h: h["config"].update(encoder_max_len=2))
+        sched = str(tmp_path / "narrow.bin")
+    data = tmp_path / "rows.jsonl"
+    data.write_text("".join(json.dumps({"src": " ".join(s), "gen": "w01", "ref": "w01"})
+                            + "\n" for s in (["w02"], src)))
+    out, report = tmp_path / "out", tmp_path / "report.json"
+    argv = {"generate": ["--exploiter", expl, "--src", data, "--out", out,
+                         *(["--fixed-sqrt"] if limit == "max_len" else
+                           ["--scheduler", sched])],
+            "plug-and-play": ["--exploiter", expl, "--scheduler", sched, "--src", data,
+                              "--ref", data, "--out", out, "--report", report],
+            "export-schedule": ["--scheduler", sched, "--src", data, "--out", out],
+            "analyze-difficulty": ["--scheduler", sched, "--gen", data, "--k", "1",
+                                   "--out", out]}[command]
+    assert run_cli(command, *map(str, argv)) == 2
+    assert capsys.readouterr().err == f"error: {data}: pair 2 {message}\n"
+    assert not out.exists() and not report.exists()
 
 
 def _one_and_two_cpus(monkeypatch, run):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import decode_row
-from skipdiff.data import (EOS, PAD, SEP, UNK, SentencePair,
-                           build_vocab, encode_batch,
-                           encode_pair, generate_synthetic, load_jsonl,
+from skipdiff.data import (EOS, PAD, RESERVED, SEP, UNK, SentencePair,
+                           build_vocab, encode_batch, generate_synthetic, load_jsonl,
                            load_jsonl_fields, synthetic_vocab, tokenize)
 from skipdiff.errors import JsonlParseError, TruncationError
 from skipdiff.rng import RngStream
@@ -43,46 +42,81 @@ def test_build_vocab_degenerate_warns():
 
 def test_encode_pair_layout():
     vocab = build_vocab([["a", "b"]])
-    row = encode_pair(SentencePair(["a"], ["b"]), vocab, max_len=6)
     a, b = vocab.id_of("a"), vocab.id_of("b")
-    assert row.ids.tolist() == [[a, SEP, b, EOS, PAD, PAD]]
-    assert row.condition_mask.tolist() == [[True, True, False, False, False, False]]
-    assert row.pad_mask.tolist() == [[False, False, False, False, True, True]]
+    # a training row, then a generation row (a bare source) with an unknown word
+    batch = encode_batch([SentencePair(["a"], ["b"]), ["zz", "b"]], vocab, max_len=6)
+    assert batch.ids.tolist() == [[a, SEP, b, EOS, PAD, PAD],
+                                  [UNK, b, SEP, PAD, PAD, PAD]]
+    assert batch.condition_mask.tolist() == [[True, True, False, False, False, False],
+                                             [True, True, True, False, False, False]]
+    # a generation row's canvas is open, not padding
+    assert batch.pad_mask.tolist() == [[False, False, False, False, True, True],
+                                       [False] * 6]
 
 
 def test_encode_pair_unknown_token():
     vocab = build_vocab([["a"]])
-    row = encode_pair(SentencePair(["zz"], ["a"]), vocab, max_len=8)
-    assert row.ids[0, 0] == UNK
+    batch = encode_batch([SentencePair(["zz"], ["a"]), SentencePair(["a"], ["zz"]),
+                          ["zz"]], vocab, max_len=8)
+    assert batch.ids[0, 0] == UNK
+    assert batch.ids[1, 2] == UNK
+    assert batch.ids[2, 0] == UNK
 
 
 def test_encode_pair_exact_fit():
     vocab = build_vocab([["a", "b"]])
-    row = encode_pair(SentencePair(["a", "b"], ["b"]), vocab, max_len=5)
-    assert not row.pad_mask.any()
+    # a generation row fits with one canvas position
+    batch = encode_batch([SentencePair(["a", "b"], ["b"]), ["a", "b", "zz"]], vocab,
+                         max_len=5)
+    assert not batch.pad_mask.any()
+    assert batch.canvas_mask[1].tolist() == [False] * 4 + [True]
 
 
 def test_encode_pair_overflow_raises():
     vocab = build_vocab([["a"]])
-    with pytest.raises(TruncationError):
-        encode_pair(SentencePair(["a", "a", "a"], ["a"]), vocab, max_len=5)
+    with pytest.raises(TruncationError) as err:
+        encode_batch([SentencePair(["a", "a", "a"], ["a"])], vocab, max_len=5)
+    assert str(err.value) == "pair 1 needs 6 positions but max_len is 5"
+    # a generation row needs its source, SEP and one canvas position
+    with pytest.raises(TruncationError) as err:
+        encode_batch([["a"], ["a", "zz", "a", "a"]], vocab, 5, "corpus.jsonl")
+    assert str(err.value) == "corpus.jsonl: pair 2 needs 6 positions but max_len is 5"
+
+
+def test_rows_of_an_encoding_equal_the_encoding_of_those_rows():
+    vocab = synthetic_vocab(9)
+    pairs = generate_synthetic("copy", 12, 9, (1, 5), RngStream(7))
+    batch = encode_batch(pairs, vocab, max_len=12)
+    for index in (np.array([3, 0, 11, 3]), slice(4, 9), np.array([], dtype=np.int64)):
+        picked = batch.rows(index)
+        alone = encode_batch([pairs[i] for i in np.arange(12)[index]], vocab, 12)
+        for field in ("ids", "condition_mask", "pad_mask"):
+            assert np.array_equal(getattr(picked, field), getattr(alone, field))
 
 
 def test_roundtrip_identity():
     rng = RngStream(5)
     vocab = synthetic_vocab(12)
     pairs = generate_synthetic("reverse", 25, 12, (1, 6), rng)
-    batch = encode_batch(pairs, vocab, max_len=16)
+    # each source again as a generation row, and one with an unknown word
+    srcs = [p.src for p in pairs] + [("w03", "zz", "w11")]
+    batch = encode_batch([*pairs, *srcs], vocab, max_len=16)
     for i, pair in enumerate(pairs):
         src, tgt = decode_row(batch, i, vocab)
         assert tuple(src) == pair.src
         assert tuple(tgt) == pair.tgt
+    for i, source in enumerate(srcs, start=len(pairs)):
+        src, canvas = decode_row(batch, i, vocab)
+        assert src == [t if t in vocab.tokens else RESERVED[UNK] for t in source]
+        assert canvas == [RESERVED[PAD]] * (16 - len(source) - 1)
 
 
 def test_condition_mask_is_prefix_block():
     rng = RngStream(6)
     pairs = generate_synthetic("sort", 40, 9, (1, 5), rng)
-    batch = encode_batch(pairs, synthetic_vocab(9), max_len=14)
+    # the sources again as generation rows, and one with an unknown word
+    rows = [*pairs, *(p.src for p in pairs), ["zz", "w01"]]
+    batch = encode_batch(rows, synthetic_vocab(9), max_len=14)
     for row in range(len(batch.ids)):
         cond = batch.condition_mask[row]
         pad = batch.pad_mask[row]

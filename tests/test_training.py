@@ -7,8 +7,8 @@ import pytest
 from skipdiff import training
 from skipdiff.checkpoint import load_checkpoint
 from skipdiff.cli import main as cli_main
-from skipdiff.data import generate_synthetic, synthetic_vocab
-from skipdiff.errors import ConfigError, ContractError
+from skipdiff.data import SentencePair, generate_synthetic, synthetic_vocab
+from skipdiff.errors import ConfigError, ContractError, TruncationError
 from skipdiff.exploiter import ExploiterConfig, init_exploiter_params, params_checksum
 from skipdiff.optim import AdaptiveSGD, sgd_step
 from skipdiff.rng import RngStream
@@ -282,6 +282,16 @@ def test_cli_exits_2_on_non_finite_probe_loss(tmp_path, monkeypatch, capsys):
 def test_meta_train_empty_dataset_rejected(tmp_path):
     with pytest.raises(ConfigError):
         meta_train([], [], VOCAB, str(tmp_path / "run"), E_CFG, S_CFG, t_cfg())
+
+
+def test_meta_train_with_a_pair_too_long_raises_before_writing(tmp_path):
+    # under max_len 14 a pair of 6 and 7 tokens needs 15 positions
+    run = tmp_path / "run"
+    with pytest.raises(TruncationError) as err:
+        meta_train([*pairs(2), SentencePair(["w01"] * 6, ["w02"] * 7)], [], VOCAB,
+                   str(run), E_CFG, S_CFG, t_cfg())
+    assert str(err.value) == "train_pairs: pair 3 needs 15 positions but max_len is 14"
+    assert not run.exists()
 
 
 def test_meta_train_step_cap(tmp_path):

@@ -12,12 +12,17 @@ tree's ``src``, inside a temporary work directory per tree:
 - ``generate --mbr 5 --steps 16`` with the policy and with ``--fixed-sqrt``;
 - ``evaluate``, and ``evaluate --systems --rank-csv``;
 - ``export-schedule``, ``analyze-difficulty`` and ``plug-and-play --report``;
+- ``generate`` and ``plug-and-play`` over sources that hold words missing
+  from the vocabulary;
+- ``train`` and ``generate`` with ``--tokenizer char``;
+- ``train`` with a pair too long for ``max_len`` and ``generate`` with a
+  source too long for it, both expected to exit 2;
 - ``--help`` of the program and of every subcommand.
 
 It then compares every file the commands wrote, plus each command's exit
 code, stdout and stderr with the work directory masked. It prints each file
-that differs and exits 1 on any difference (or on a command that failed),
-0 when everything is identical.
+that differs and exits 1 on any difference (or on a command that exited
+with another code than expected), 0 when everything is identical.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ TRAIN = ["train", "--data", "train.jsonl", "--val-data", "heldout.jsonl",
 META = "run-meta/checkpoints"
 FIXED = "run-fixed/checkpoints"
 
-# (name, argv); every command must exit 0. 64 training pairs in batches of
-# 16 are 4 steps an epoch, so 22 steps stop in the middle of the sixth.
+# (name, argv); every command must exit 0 but those in EXIT_2. 64 training
+# pairs in batches of 16 are 4 steps an epoch, so 22 steps stop in the
+# middle of the sixth.
 COMMANDS = [
     ("train-meta", [*TRAIN, "--out", "run-meta", "--max-steps", "22"]),
     ("train-fixed", [*TRAIN, "--out", "run-fixed", "--max-steps", "22",
@@ -74,9 +80,32 @@ COMMANDS = [
                        "--src", "heldout.jsonl", "--ref", "heldout.jsonl",
                        "--out", "pp.jsonl", "--report", "pp.json",
                        "--mbr", "3", "--steps", "8", "--seed", "3"]),
+    ("generate-unk", ["generate", "--exploiter", f"{META}/exploiter-final.bin",
+                      "--scheduler", f"{META}/scheduler-final.bin",
+                      "--src", "unk.jsonl", "--out", "gen-unk.jsonl",
+                      "--mbr", "2", "--steps", "8", "--seed", "5"]),
+    ("plug-and-play-unk", ["plug-and-play", "--scheduler", f"{META}/scheduler-final.bin",
+                           "--exploiter", f"{FIXED}/exploiter-final.bin",
+                           "--src", "unk.jsonl", "--ref", "unk.jsonl",
+                           "--out", "pp-unk.jsonl", "--report", "pp-unk.json",
+                           "--steps", "8", "--seed", "3"]),
+    ("train-char", ["train", "--data", "chars.jsonl", "--val-data", "chars.jsonl",
+                    "--seed", "11", "--steps", "4", *MODEL, "--set", "tokenizer=char",
+                    "--out", "run-char", "--max-steps", "6"]),
+    ("generate-char", ["generate", "--exploiter", "run-char/checkpoints/exploiter-final.bin",
+                       "--scheduler", "run-char/checkpoints/scheduler-final.bin",
+                       "--src", "chars.jsonl", "--out", "gen-char.jsonl",
+                       "--tokenizer", "char", "--mbr", "2", "--steps", "8"]),
+    ("train-too-long", ["train", "--data", "long.jsonl", "--val-data", "heldout.jsonl",
+                        "--seed", "11", *MODEL, "--out", "run-long"]),
+    ("generate-too-long", ["generate", "--exploiter", f"{FIXED}/exploiter-final.bin",
+                           "--fixed-sqrt", "--src", "long.jsonl", "--out", "gen-long.jsonl"]),
     ("help", ["--help"]),
     *[(f"help-{sub}", [sub, "--help"]) for sub in SUBCOMMANDS],
 ]
+
+# commands whose input does not fit ``max_len``
+EXIT_2 = {"train-too-long", "generate-too-long"}
 
 SYSTEMS_CSV = """method,metric,value
 DiffuSeq,BLEU,0.31
@@ -93,15 +122,30 @@ def write_inputs(work: Path) -> None:
     """The sort task on 16 symbols, with sources of 4 to 8 tokens: 64
     training and 48 held-out pairs. The sampler caps a row block at 40
     rows at this config, so each generation over the held-out sources
-    runs in two blocks."""
+    runs in two blocks. Also: 12 held-out sources with words ``w16`` to
+    ``w19`` that no training pair holds; the sort task on 6 letters,
+    tokenized by character; and 8 pairs whose sixth source of 19 tokens
+    fits ``max_len`` 20 neither as a training pair nor as a source."""
     rng = random.Random(5)
     rows = []
     for _ in range(112):
         src = [f"w{rng.randrange(16):02d}" for _ in range(rng.randint(4, 8))]
         rows.append('{"src": "%s", "trg": "%s"}\n'
                     % (" ".join(src), " ".join(sorted(src))))
+    unk = []
+    for _ in range(12):
+        src = [f"w{rng.randrange(20):02d}" for _ in range(rng.randint(4, 8))]
+        unk.append('{"src": "%s", "trg": "%s"}\n' % (" ".join(src), " ".join(sorted(src))))
+    chars = []
+    for _ in range(32):
+        src = [rng.choice("abcdef") for _ in range(rng.randint(3, 8))]
+        chars.append('{"src": "%s", "trg": "%s"}\n' % ("".join(src), "".join(sorted(src))))
+    long = rows[:5] + ['{"src": "%s", "trg": "w00"}\n' % " ".join(["w01"] * 19)] + rows[5:7]
     (work / "train.jsonl").write_text("".join(rows[:64]))
     (work / "heldout.jsonl").write_text("".join(rows[64:]))
+    (work / "unk.jsonl").write_text("".join(unk))
+    (work / "chars.jsonl").write_text("".join(chars))
+    (work / "long.jsonl").write_text("".join(long))
     (work / "systems.csv").write_text(SYSTEMS_CSV)
 
 
@@ -121,7 +165,7 @@ def run_tree(tree: Path, work: Path) -> list[str]:
             masked = text.replace(str(work), "<WORK>").replace(str(tree), "<TREE>")
             (logs / f"{i:02d}-{name}.{stream}").write_text(
                 masked + f"[exit {proc.returncode}]\n" * (stream == "stdout"))
-        if proc.returncode != 0:
+        if proc.returncode != (2 if name in EXIT_2 else 0):
             failures.append(f"{tree}: {name} exited {proc.returncode}: "
                             f"{proc.stderr.strip().splitlines()[-1:]}")
     return failures
